@@ -8,8 +8,6 @@ from .adjacency_graph import (
     LabeledCycle,
     build_adjacency_graph,
     dcj_distance,
-    fission_to_dcj,
-    label_cycle,
     realize_scenario,
 )
 from .enumeration import (
@@ -59,11 +57,9 @@ from .genome import (
     Genome,
     adjacency,
     adjacency_from_signed,
-    adjacency_set,
     apply_dcj,
     co_tailed,
     format_adjacency,
-    genomes_equal,
     make_dcj,
     parse_genome,
     read_genomes,

@@ -116,10 +116,6 @@ def dcj_distance(a: Genome, b: Genome) -> int:
     return AdjacencyGraph(a, b).distance
 
 
-def label_cycle(graph: AdjacencyGraph, cycle_index: int) -> LabeledCycle:
-    return graph.cycles[cycle_index]
-
-
 def _shared(x: Adjacency, y: Adjacency):
     common = set(x) & set(y)
     assert len(common) == 1
@@ -192,10 +188,6 @@ class CycleTracker:
         self._gap[base] = rejoining
         self._gap[top] = closing
         return op
-
-
-def fission_to_dcj(state: CycleTracker, fission) -> DcjOp:
-    return state.fission_to_dcj(fission)
 
 
 def realize_scenario(

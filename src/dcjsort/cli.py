@@ -7,6 +7,7 @@ invalid parking function, ...), 2 on usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import sys
 
@@ -42,8 +43,12 @@ SCENARIO_WRITERS = {
 def _read_text(path: str | None) -> str:
     if path is None or path == "-":
         return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise TextFormatError(f"cannot read {path}: {reason}") from None
 
 
 def _load_genome_pair(paths: list[str]) -> tuple[Genome, Genome]:
@@ -86,10 +91,15 @@ def _cmd_distance(args) -> int:
     return 0
 
 
+def _print_count(total: int, as_json: bool) -> None:
+    # C decimal has no int->str digit limit, unlike str(int) beyond 4300 digits
+    digits = str(decimal.Decimal(total))
+    print(f'{{"count": {digits}}}' if as_json else digits)
+
+
 def _cmd_count(args) -> int:
     a, b = _load_genome_pair(args.paths)
-    total = count_scenarios(build_adjacency_graph(a, b).profile)
-    print(json.dumps({"count": total}) if args.json else total)
+    _print_count(count_scenarios(build_adjacency_graph(a, b).profile), args.json)
     return 0
 
 
@@ -117,6 +127,11 @@ def _realized_steps(graph, a, b, merged):
     if current != b:
         raise DcjsortError("internal check failed: scenario does not reach the target genome")
     return steps
+
+
+def _print_chunks(chunks: list[str], fmt: str) -> None:
+    if chunks:
+        print(("\n\n" if fmt in ("fissions", "tree", "dcj") else "\n").join(chunks))
 
 
 def _cmd_sample(args) -> int:
@@ -149,9 +164,7 @@ def _cmd_sample(args) -> int:
                     ]
                 )
             )
-    separator = "\n\n" if fmt in ("fissions", "tree", "dcj") else "\n"
-    if chunks:
-        print(separator.join(chunks))
+    _print_chunks(chunks, fmt)
     return 0
 
 
@@ -164,21 +177,13 @@ def _cmd_convert(args) -> int:
 def _cmd_enumerate(args) -> int:
     writer = SCENARIO_WRITERS[args.format]
     chunks = [writer(s) for s in enumerate_scenarios(args.n, limit=args.num, force=args.force)]
-    separator = "\n\n" if args.format in ("fissions", "tree") else "\n"
-    if chunks:
-        print(separator.join(chunks))
+    _print_chunks(chunks, args.format)
     return 0
 
 
 def _cmd_oracle_count(args) -> int:
     a, b = _load_genome_pair(args.paths)
-    total = sum(1 for _ in enumerate_dcj_sorting_scenarios(a, b, force=args.force))
-    print(json.dumps({"count": total}) if args.json else total)
-    return 0
-
-
-def _cmd_tree_dot(args) -> int:
-    print(tree_to_dot(parse_tree(_read_text(args.path))))
+    _print_count(sum(1 for _ in enumerate_dcj_sorting_scenarios(a, b, force=args.force)), args.json)
     return 0
 
 
@@ -187,6 +192,13 @@ def _seed(value: str) -> int:
     if not 0 <= seed < 2**64:
         raise argparse.ArgumentTypeError("seed must fit in 64 bits")
     return seed
+
+
+def _num(value: str) -> int:
+    num = int(value)
+    if num < 0:
+        raise argparse.ArgumentTypeError("must be non-negative")
+    return num
 
 
 def _add_genome_inputs(sub):
@@ -212,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="sample sorting scenarios uniformly")
     _add_genome_inputs(p)
     p.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
-    p.add_argument("--num", type=int, default=1, help="number of samples (default 1)")
+    p.add_argument("--num", type=_num, default=1, help="number of samples (default 1)")
     p.add_argument(
         "--format",
         choices=["parking", "fissions", "tree", "dcj", "json"],
@@ -229,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="enumerate all scenarios of a cycle exhaustively")
     p.add_argument("--n", type=int, required=True, help="cycle size")
-    p.add_argument("--num", type=int, default=None, help="stop after this many scenarios")
+    p.add_argument("--num", type=_num, default=None, help="stop after this many scenarios")
     p.add_argument("--force", action="store_true", help="override the size guard")
     p.add_argument("--format", choices=["parking", "fissions", "tree"], default="parking")
     p.set_defaults(func=_cmd_enumerate)
@@ -238,10 +250,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_genome_inputs(p)
     p.add_argument("--force", action="store_true", help="override the distance guard")
     p.set_defaults(func=_cmd_oracle_count)
-
-    p = sub.add_parser("tree-dot", help="render a tree file as DOT")
-    p.add_argument("path", nargs="?", help="input file; '-' or empty reads stdin")
-    p.set_defaults(func=_cmd_tree_dot)
 
     return parser
 

@@ -16,7 +16,7 @@ class GenomeParseError(DcjsortError):
 
 
 class TextFormatError(DcjsortError):
-    """Malformed scenario, parking-function, or tree text."""
+    """Unreadable input, or malformed scenario, parking-function, or tree text."""
 
 
 class BlockMismatchError(DcjsortError):

@@ -278,10 +278,6 @@ def serialize_genome(g: Genome) -> str:
     return "\n".join(lines)
 
 
-def genomes_equal(a: Genome, b: Genome) -> bool:
-    return a == b
-
-
 def co_tailed(a: Genome, b: Genome) -> bool:
     """True when both genomes expose the same chromosome ends.
 
@@ -291,10 +287,6 @@ def co_tailed(a: Genome, b: Genome) -> bool:
     if a.blocks != b.blocks:
         raise BlockMismatchError("genomes are over different block sets")
     return a.telomeres == b.telomeres
-
-
-def adjacency_set(g: Genome) -> frozenset[Adjacency]:
-    return g.adjacencies
 
 
 class DcjOp(NamedTuple):

@@ -3,27 +3,22 @@
 A parking function of length m is an integer sequence whose sorted version
 satisfies p'_i <= i.  Listing the bases of a fission scenario on (1..n)
 always yields a parking function of length n-1, and the mapping is a
-bijection: bases determine partners (largest base values claim the smallest
-free partners above them, occurrences left to right) and partners determine
-tops through the last-partner chain of the remaining steps.
+bijection.  Decoding runs the shared kernel of :mod:`dcjsort.fissions` in
+O(n log n) time: bases determine partners (largest base values claim the
+smallest free partners above them, occurrences left to right), partners
+hang each step below the step that introduced its base, and erasing that
+tree's edges in step order reads off every top, the end of the
+last-partner chain (`chain_top`) of the remaining steps.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Sequence
 
 from .errors import InvalidParkingFunctionError, TextFormatError
-from .fissions import Fission, FissionScenario, chain_top, require_valid
+from .fissions import FissionScenario, decode_bases, is_parking_function, require_valid
 
 ParkingFunction = tuple[int, ...]
-
-
-def is_parking_function(seq: Sequence[int]) -> bool:
-    values = list(seq)
-    if any(v < 1 for v in values):
-        return False
-    return all(v <= i for i, v in enumerate(sorted(values), start=1))
 
 
 def scenario_to_parking(s: FissionScenario) -> ParkingFunction:
@@ -39,28 +34,7 @@ def parking_to_scenario(values: Sequence[int]) -> FissionScenario:
         raise InvalidParkingFunctionError(
             f"{' '.join(map(str, pf)) or '(empty)'} is not a parking function"
         )
-    n = len(pf) + 1
-
-    # partners: walk base values from n-1 down to 1; each occurrence, left
-    # to right, takes the smallest unused partner above it
-    free = list(range(2, n + 1))
-    partners = [0] * len(pf)
-    for p in range(n - 1, 0, -1):
-        for i, base in enumerate(pf):
-            if base != p:
-                continue
-            k = bisect_right(free, p)
-            if k == len(free):
-                raise InvalidParkingFunctionError(f"no partner available for base {p}")
-            partners[i] = free.pop(k)
-
-    # tops: the cycle split off at step i gets finished by the later steps,
-    # so its largest element is the end of their partner chain from q_i
-    pairs = list(zip(pf, partners))
-    steps = tuple(
-        Fission(base, chain_top(pairs[i + 1 :], q)) for i, (base, q) in enumerate(pairs)
-    )
-    return FissionScenario(n, steps)
+    return decode_bases(pf)
 
 
 def count_parking(m: int) -> int:

@@ -2,12 +2,15 @@
 
 A scenario on (1..n) maps to a tree on vertices {0..n-1}: step i hangs
 below the step j whose partner it reuses as a base (below the root 0 when
-its base is 1).  Decoding roots the tree at 0, orders children by label,
-lifts each vertex label onto its incoming edge, renames vertices 1..n in
-preorder, and then erases edges 1..n-1 in order: the erased edge's parent
-side gives the base, and the largest preorder name still hanging below it
-gives the top.  Erasing the first k edges reproduces exactly the partition
-reached after k fissions, so sorting can be watched on the tree itself.
+its base is 1).  Encoding recovers the partners from the bases alone with
+the shared kernel of :mod:`dcjsort.fissions`.  Decoding roots the tree at
+0, orders children by label, lifts each vertex label onto its incoming
+edge, renames vertices 1..n in preorder, and then erases edges 1..n-1 in
+order with the kernel's `erase_edges`: the erased edge's parent side gives
+the base, and the largest preorder name still hanging below it gives the
+top.  Both directions run in O(n log n) time.  Erasing the first k edges
+reproduces exactly the partition reached after k fissions, so sorting can
+be watched on the tree itself.
 
 Prüfer sequences provide counting and uniform sampling over all n^(n-2)
 trees, hence over all scenarios.
@@ -18,13 +21,16 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Sequence
 
-from .errors import InvalidTreeError, TextFormatError
+from .errors import InvalidTreeError
 from .fissions import (
     CyclePartition,
-    Fission,
     FissionScenario,
+    erase_edges,
+    find_root,
+    parse_pairs,
+    partners,
     require_valid,
-    scenario_partners,
+    step_parents,
 )
 
 
@@ -36,20 +42,19 @@ class LabeledTree:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
             raise InvalidTreeError(f"a tree needs at least one vertex, got n={n}")
-        normalized = sorted(tuple(sorted(e)) for e in edges)
-        if len(normalized) != n - 1:
-            raise InvalidTreeError(f"a tree on {n} vertices has {n - 1} edges, got {len(normalized)}")
-        neighbors: dict[int, list[int]] = {v: [] for v in range(n)}
-        for u, v in normalized:
+        self.n = n
+        self.edges = tuple(sorted(tuple(sorted(e)) for e in edges))
+        if len(self.edges) != n - 1:
+            raise InvalidTreeError(f"a tree on {n} vertices has {n - 1} edges, got {len(self.edges)}")
+        for u, v in self.edges:
             if u == v:
                 raise InvalidTreeError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidTreeError(f"edge ({u}, {v}) is outside labels 0..{n - 1}")
-            neighbors[u].append(v)
-            neighbors[v].append(u)
-        if len(set(normalized)) != len(normalized):
+        if len(set(self.edges)) != len(self.edges):
             raise InvalidTreeError("duplicate edge")
         # n-1 distinct edges + connectivity == tree
+        neighbors = self.adjacency()
         reached = {0}
         stack = [0]
         while stack:
@@ -59,8 +64,6 @@ class LabeledTree:
                     stack.append(w)
         if len(reached) != n:
             raise InvalidTreeError("edge set is not connected")
-        self.n = n
-        self.edges = tuple(normalized)
 
     def adjacency(self) -> dict[int, list[int]]:
         out: dict[int, list[int]] = {v: [] for v in range(self.n)}
@@ -82,59 +85,30 @@ class LabeledTree:
 def scenario_to_tree(s: FissionScenario) -> LabeledTree:
     """Hang step i below the step whose partner its base reuses."""
     require_valid(s)
-    partners = scenario_partners(s)
-    introduced = {q: j for j, q in enumerate(partners, start=1)}
-    edges = []
-    for i, f in enumerate(s.steps, start=1):
-        parent = 0 if f.base == 1 else introduced[f.base]
-        edges.append((parent, i))
-    return LabeledTree(s.n, edges)
+    parent = step_parents(s.bases, partners(s.bases))
+    return LabeledTree(s.n, ((parent[i], i) for i in range(1, s.n)))
 
 
-def _rooted_preorder(t: LabeledTree) -> tuple[dict[int, int | None], dict[int, int]]:
+def _rooted_preorder(t: LabeledTree) -> tuple[list[int], list[int]]:
     """Root at 0 with children in increasing label order.
 
-    Returns (parent, preorder_name) where preorder_name runs 1..n.
+    Returns (parent, preorder_name) indexed by vertex, where preorder_name
+    runs 1..n and parent[0] is 0.
     """
     adj = t.adjacency()
-    parent: dict[int, int | None] = {0: None}
-    preorder: dict[int, int] = {}
+    parent = [0] + [-1] * (t.n - 1)
+    preorder = [0] * t.n
     counter = 0
     stack = [0]
     while stack:
         v = stack.pop()
         counter += 1
         preorder[v] = counter
-        children = sorted((w for w in adj[v] if w not in parent), reverse=True)
+        children = sorted((w for w in adj[v] if parent[w] < 0), reverse=True)
         for w in children:
             parent[w] = v
             stack.append(w)
     return parent, preorder
-
-
-class _Components:
-    """Union-find over tree vertices, tracking each component's max name."""
-
-    def __init__(self, names: dict[int, int]):
-        self._parent = {v: v for v in names}
-        self._max = dict(names)
-
-    def find(self, v: int) -> int:
-        root = v
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[v] != root:
-            self._parent[v], v = root, self._parent[v]
-        return root
-
-    def union(self, u: int, v: int):
-        ru, rv = self.find(u), self.find(v)
-        if ru != rv:
-            self._parent[rv] = ru
-            self._max[ru] = max(self._max[ru], self._max[rv])
-
-    def max_name(self, v: int) -> int:
-        return self._max[self.find(v)]
 
 
 def tree_to_scenario(t: LabeledTree) -> FissionScenario:
@@ -144,17 +118,7 @@ def tree_to_scenario(t: LabeledTree) -> FissionScenario:
     parent's preorder name; its top is the largest preorder name still
     connected below vertex i once edges 1..i-1 are gone.
     """
-    n = t.n
-    if n == 1:
-        return FissionScenario(1, ())
-    parent, preorder = _rooted_preorder(t)
-    comps = _Components(preorder)
-    tops = {}
-    for i in range(n - 1, 0, -1):
-        tops[i] = comps.max_name(i)
-        comps.union(parent[i], i)
-    steps = tuple(Fission(preorder[parent[i]], tops[i]) for i in range(1, n))
-    return FissionScenario(n, steps)
+    return erase_edges(*_rooted_preorder(t))
 
 
 def erase_edges_components(t: LabeledTree, s: FissionScenario, k: int) -> CyclePartition:
@@ -169,12 +133,12 @@ def erase_edges_components(t: LabeledTree, s: FissionScenario, k: int) -> CycleP
     if scenario_to_tree(s) != t:
         raise InvalidTreeError("tree does not encode the given scenario")
     parent, preorder = _rooted_preorder(t)
-    comps = _Components(preorder)
+    link = list(range(n))
     for i in range(k + 1, n):
-        comps.union(parent[i], i)
+        link[find_root(link, i)] = find_root(link, parent[i])
     groups: dict[int, list[int]] = {}
     for v in range(n):
-        groups.setdefault(comps.find(v), []).append(preorder[v])
+        groups.setdefault(find_root(link, v), []).append(preorder[v])
     return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
 
 
@@ -241,20 +205,4 @@ def format_tree(t: LabeledTree) -> str:
 
 
 def parse_tree(text: str) -> LabeledTree:
-    rows = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    rows = [r for r in rows if r]
-    if not rows:
-        raise TextFormatError("empty tree text")
-    try:
-        n = int(rows[0])
-    except ValueError:
-        raise TextFormatError(f"first line must be the vertex count, got {rows[0]!r}") from None
-    edges = []
-    for r in rows[1:]:
-        fields = r.split()
-        try:
-            u, v = (int(x) for x in fields)
-        except ValueError:
-            raise TextFormatError(f"expected 'u v', got {r!r}") from None
-        edges.append((u, v))
-    return LabeledTree(n, edges)
+    return LabeledTree(*parse_pairs(text, "tree", "vertex count", "u v"))

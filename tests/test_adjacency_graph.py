@@ -11,9 +11,6 @@ from dcjsort import (
     build_adjacency_graph,
     dcj_distance,
     enumerate_scenarios,
-    fission_to_dcj,
-    genomes_equal,
-    label_cycle,
     make_dcj,
     parse_genome,
     realize_scenario,
@@ -53,7 +50,7 @@ def test_distance_zero_iff_equal(genome_a, genome_b):
 
 def test_label_cycle_traversal_order(genome_a, genome_b):
     graph = build_adjacency_graph(genome_a, genome_b)
-    cycle = label_cycle(graph, 0)
+    cycle = graph.cycles[0]
     expected = [("a", "b"), ("f", "g"), ("b", "c"), ("e", "f"), ("d", "e")]
     assert list(cycle.b_order) == [adjacency_from_signed(*p) for p in expected]
     assert cycle.n == 5
@@ -61,7 +58,7 @@ def test_label_cycle_traversal_order(genome_a, genome_b):
 
 def test_label_cycle_trivial(genome_b):
     graph = build_adjacency_graph(genome_b, genome_b)
-    cycle = label_cycle(graph, 0)
+    cycle = graph.cycles[0]
     assert cycle.n == 1
     assert cycle.a_between == cycle.b_order
 
@@ -75,13 +72,13 @@ def test_label_cycle_deterministic(genome_a, genome_b):
 def test_label_cycle_index_out_of_range(genome_a, genome_b):
     graph = build_adjacency_graph(genome_a, genome_b)
     with pytest.raises(IndexError):
-        label_cycle(graph, 3)
+        graph.cycles[3]
 
 
 def test_fission_to_dcj_worked_example(genome_a, genome_b):
     graph = build_adjacency_graph(genome_a, genome_b)
     tracker = CycleTracker(graph.cycles[0])
-    op = fission_to_dcj(tracker, Fission(1, 2))
+    op = tracker.fission_to_dcj(Fission(1, 2))
     expected = make_dcj(
         (adjacency_from_signed("a", "-f"), adjacency_from_signed("-c", "g")),
         (adjacency_from_signed("f", "g"), adjacency_from_signed("a", "c")),
@@ -106,7 +103,7 @@ def test_fission_on_trivial_cycle_fails(genome_b):
     graph = build_adjacency_graph(genome_b, genome_b)
     tracker = CycleTracker(graph.cycles[0])
     with pytest.raises(InvalidFissionError):
-        fission_to_dcj(tracker, Fission(1, 2))
+        tracker.fission_to_dcj(Fission(1, 2))
 
 
 def test_fission_to_dcj_rejects_cross_cycle(genome_a, genome_b):
@@ -127,7 +124,7 @@ def test_realize_scenario_reaches_target(genome_a, genome_b):
     for scenario in enumerate_scenarios(5, limit=10):
         ops = realize_scenario(genome_a, genome_b, [scenario], [0, 0, 0, 0])
         assert len(ops) == 4
-        assert genomes_equal(_apply_all(genome_a, ops), genome_b)
+        assert _apply_all(genome_a, ops) == genome_b
 
 
 def test_realize_scenario_steps_reduce_distance(genome_a, genome_b):
@@ -154,8 +151,8 @@ def test_realize_two_cycles_interleavings_commute(profile_21_pair):
     ops1 = realize_scenario(a, b, [first, second], [0, 0, 1])
     ops2 = realize_scenario(a, b, [first, second], [0, 1, 0])
     assert ops1 != ops2
-    assert genomes_equal(_apply_all(a, ops1), _apply_all(a, ops2))
-    assert genomes_equal(_apply_all(a, ops1), b)
+    assert _apply_all(a, ops1) == _apply_all(a, ops2)
+    assert _apply_all(a, ops1) == b
 
 
 def test_realize_scenario_length_mismatch(genome_a, genome_b):

@@ -1,5 +1,7 @@
+import decimal
 import io
 import json
+import sys
 
 import pytest
 
@@ -142,10 +144,15 @@ def test_oracle_count(genome_file, capsys):
 
 def test_tree_dot(capsys, tmp_path):
     path = tmp_path / "tree.txt"
-    path.write_text("2\n0 1\n")
-    code, out, _ = run(capsys, "tree-dot", str(path))
+    path.write_text("9\n3 7\n0 3\n6 8\n1 6\n3 4\n2 7\n4 6\n3 5\n")
+    code, out, _ = run(capsys, "convert", "--from", "tree", "--to", "dot", str(path))
     assert code == 0
-    assert "0 -- 1;" in out
+    assert out == (
+        "graph scenario_tree {\n"
+        "  0 -- 3;\n  1 -- 6;\n  2 -- 7;\n  3 -- 4;\n"
+        "  3 -- 5;\n  3 -- 7;\n  4 -- 6;\n  6 -- 8;\n"
+        "}\n"
+    )
 
 
 def test_not_co_tailed_exits_1(capsys, tmp_path):
@@ -177,6 +184,42 @@ def test_malformed_parking_text_exits_2(capsys, tmp_path):
     path.write_text("4 eight\n")
     code, _, err = run(capsys, "convert", "--from", "parking", "--to", "tree", str(path))
     assert code == 2
+
+
+def test_unreadable_path_exits_2(capsys, tmp_path):
+    code, out, err = run(capsys, "distance", str(tmp_path / "missing.txt"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("dcjsort: error: cannot read ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["sample", "enumerate"])
+def test_negative_num_exits_2(capsys, genome_file, command):
+    argv = [command, genome_file] if command == "sample" else [command, "--n", "3"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--num", "-1"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--num" in out.err
+
+
+def test_count_beyond_int_str_digit_limit(capsys, tmp_path):
+    # one 3000-edge cycle: 1498 sorting steps, 1499^1497 scenarios (4755 digits)
+    blocks = [f"b{i}" for i in range(1500)]
+    path = tmp_path / "big.txt"
+    path.write_text(f">A\n[{' '.join(blocks)}]\n>B\n[{' '.join(blocks[0::2] + blocks[1::2])}]\n")
+    limit = sys.get_int_max_str_digits()
+    exact = decimal.Decimal(1499**1497)
+    code, out, _ = run(capsys, "count", str(path))
+    assert code == 0
+    assert len(out.strip()) == 4755
+    assert decimal.Decimal(out) == exact
+    code, out, _ = run(capsys, "count", "--json", str(path))
+    assert code == 0
+    assert json.loads(out, parse_int=decimal.Decimal) == {"count": exact}
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_usage_error_exits_2(capsys):

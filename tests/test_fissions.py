@@ -19,6 +19,7 @@ from dcjsort import (
     singletons,
     validate_scenario,
 )
+from dcjsort.fissions import ScenarioReport
 from conftest import REFERENCE_TRACE
 
 
@@ -186,3 +187,42 @@ def test_successive_partners_of_a_base_increase(s):
 def test_intermediate_partitions_non_crossing(s):
     for part in run_scenario(s):
         assert is_non_crossing(part)
+
+
+def walk_report(s):
+    """Oracle: validation by the partition walk alone."""
+    if s.n < 1:
+        return ScenarioReport(False, None, f"cycle size must be positive, got {s.n}")
+    if len(s.steps) != s.n - 1:
+        return ScenarioReport(False, None, f"expected {s.n - 1} fissions, got {len(s.steps)}")
+    part = single_cycle(s.n)
+    for i, f in enumerate(s.steps, start=1):
+        try:
+            part = apply_fission(part, f)
+        except InvalidFissionError as exc:
+            return ScenarioReport(False, i, str(exc), part)
+    assert part == singletons(s.n)
+    return ScenarioReport(True)
+
+
+@st.composite
+def arbitrary_fission_lists(draw):
+    n = draw(st.integers(0, 9))
+    length = max(n - 1 + draw(st.sampled_from([0, 0, 0, -1, 1])), 0)
+    pairs = st.tuples(st.integers(0, n + 1), st.integers(0, n + 1))
+    steps = draw(st.lists(pairs, min_size=length, max_size=length))
+    return FissionScenario(n, tuple(Fission(*p) for p in steps))
+
+
+@st.composite
+def damaged_scenarios(draw):
+    s = draw(random_walk_scenarios())
+    i = draw(st.integers(0, len(s.steps) - 1))
+    f = Fission(draw(st.integers(0, s.n + 1)), draw(st.integers(0, s.n + 1)))
+    return FissionScenario(s.n, s.steps[:i] + (f,) + s.steps[i + 1 :])
+
+
+@given(st.one_of(arbitrary_fission_lists(), damaged_scenarios(), random_walk_scenarios()))
+def test_validate_matches_walk_report(s):
+    # ScenarioReport is a NamedTuple: equality compares ok, step, reason and partition
+    assert validate_scenario(s) == walk_report(s)

@@ -8,6 +8,8 @@ from dcjsort import (
     FissionScenario,
     InvalidParkingFunctionError,
     InvalidScenarioError,
+    LabeledTree,
+    chain_top,
     count_parking,
     enumerate_scenarios,
     format_parking,
@@ -16,8 +18,10 @@ from dcjsort import (
     parse_parking,
     scenario_partners,
     scenario_to_parking,
+    scenario_to_tree,
     validate_scenario,
 )
+from dcjsort.fissions import partners
 from conftest import REFERENCE_PARKING, REFERENCE_PARTNERS, REFERENCE_TOPS
 
 
@@ -115,7 +119,7 @@ def test_first_fission_of_each_base_pairs_with_successor(m):
 @st.composite
 def parking_functions(draw):
     # draw a sorted witness s_i <= i, then shuffle it
-    m = draw(st.integers(0, 8))
+    m = draw(st.integers(0, 60))
     witness = [draw(st.integers(1, i)) for i in range(1, m + 1)]
     return tuple(draw(st.permutations(witness)))
 
@@ -125,6 +129,47 @@ def test_random_parking_functions_round_trip(pf):
     s = parking_to_scenario(pf)
     assert validate_scenario(s).ok
     assert scenario_to_parking(s) == pf
+
+
+def test_kernel_partners_of_reference():
+    assert partners(REFERENCE_PARKING) == REFERENCE_PARTNERS
+
+
+def test_kernel_decodes_identity_parking_function():
+    # the identity is the worst case of the last-partner chains: step i splits off (i, n]
+    m = 200
+    s = parking_to_scenario(range(1, m + 1))
+    assert s.tops == (m + 1,) * m
+    assert partners(tuple(range(1, m + 1))) == tuple(range(2, m + 2))
+
+
+# the kernel against the partition-walk oracles kept in dcjsort.fissions
+@given(parking_functions())
+def test_kernel_partners_match_partition_walk(pf):
+    assert partners(pf) == scenario_partners(parking_to_scenario(pf))
+
+
+@given(parking_functions())
+def test_kernel_tops_end_last_partner_chains(pf):
+    s = parking_to_scenario(pf)
+    qs = partners(pf)
+    pairs = list(zip(pf, qs))
+    assert s.tops == tuple(chain_top(pairs[i + 1 :], q) for i, q in enumerate(qs))
+
+
+@given(parking_functions())
+def test_kernel_tree_edges_match_partition_walk(pf):
+    s = parking_to_scenario(pf)
+    introduced = {q: j for j, q in enumerate(scenario_partners(s), start=1)}
+    edges = [(0 if f.base == 1 else introduced[f.base], i) for i, f in enumerate(s.steps, start=1)]
+    assert scenario_to_tree(s) == LabeledTree(s.n, edges)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_decoding_every_parking_function_gives_every_scenario(n):
+    decoded = [parking_to_scenario(pf) for pf in brute_force_parking_functions(n - 1)]
+    assert len(set(decoded)) == len(decoded)
+    assert set(decoded) == set(enumerate_scenarios(n))
 
 
 def test_parking_text_round_trip():
