@@ -201,6 +201,13 @@ def _num(value: str) -> int:
     return num
 
 
+def _positive(value: str) -> int:
+    num = int(value)
+    if num < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return num
+
+
 def _add_genome_inputs(sub):
     sub.add_argument("paths", nargs="*", help="genome file(s) holding two genomes; '-' or empty reads stdin")
     sub.add_argument("--json", action="store_true", help="emit JSON instead of plain text")
@@ -240,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_convert)
 
     p = sub.add_parser("enumerate", help="enumerate all scenarios of a cycle exhaustively")
-    p.add_argument("--n", type=int, required=True, help="cycle size")
+    p.add_argument("--n", type=_positive, required=True, help="cycle size")
     p.add_argument("--num", type=_num, default=None, help="stop after this many scenarios")
     p.add_argument("--force", action="store_true", help="override the size guard")
     p.add_argument("--format", choices=["parking", "fissions", "tree"], default="parking")

@@ -8,6 +8,12 @@ each other: one walks the abstract fission state space, the other tries
 every DCJ on the actual genome and keeps the distance-reducing ones.  Both
 exist so the closed forms and the codecs can be checked against brute
 force on small instances.
+
+Uniform sampling draws one rank below the multinomial and unranks it into
+an interleaving.  Of the M interleavings of R remaining steps, exactly
+M*r_m/R start with one of the r_m steps left to cycle m, so a Fenwick tree
+over the remaining counts picks each step in O(log C): O(L log C) for L
+steps over C cycles, with one multinomial per interleaving.
 """
 
 from __future__ import annotations
@@ -147,6 +153,13 @@ def interleave(
     An integer selector picks that interleaving by lexicographic rank over
     cycle-index sequences; a random.Random draws one uniformly.  Each
     cycle's own steps always stay in order.
+
+    Unranking never recounts: with M interleavings and R = sum(r) steps
+    left, exactly M*r_m/R of them start with cycle m, so the next cycle is
+    the first m whose prefix sum P_m of the remaining counts exceeds
+    index*R // M.  A Fenwick tree over the remaining counts finds it in one
+    O(log C) descent; the rank then drops by M*P_(m-1)/R and M becomes
+    M*r_m/R.  That is O(L log C) for L steps over C cycles.
     """
     lengths = [len(s.steps) for s in per_cycle]
     total = multinomial(lengths)
@@ -157,23 +170,34 @@ def interleave(
         if not 0 <= index < total:
             raise IndexError(f"interleaving index {index} out of range 0..{total - 1}")
 
-    remaining = list(lengths)
-    order = []
-    for _ in range(sum(lengths)):
-        for m in range(len(remaining)):
-            if remaining[m] == 0:
-                continue
-            remaining[m] -= 1
-            below = multinomial(remaining)
-            if index < below:
-                order.append(m)
-                break
-            index -= below
-            remaining[m] += 1
-
-    cursor = [0] * len(per_cycle)
+    size = len(lengths)
+    fenwick = [0, *lengths]  # 1-based: fenwick[i] sums the remaining counts over (i - lowbit(i), i]
+    for i in range(1, size + 1):
+        up = i + (i & -i)
+        if up <= size:
+            fenwick[up] += fenwick[i]
+    high = 1 << size.bit_length() >> 1
+    left = sum(lengths)
+    count = total
+    cursor = [0] * size
     merged = []
-    for m in order:
+    while left:
+        target = index * left // count
+        m = below = 0
+        step = high
+        while step:
+            if m + step <= size and below + fenwick[m + step] <= target:
+                m += step
+                below += fenwick[m]
+            step >>= 1
+        # m is the 0-based first cycle whose prefix sum exceeds target; below = P_(m-1)
+        index -= count * below // left
+        count = count * (lengths[m] - cursor[m]) // left
+        left -= 1
         merged.append((m, per_cycle[m].steps[cursor[m]]))
         cursor[m] += 1
+        i = m + 1
+        while i <= size:
+            fenwick[i] -= 1
+            i += i & -i
     return tuple(merged)

@@ -205,6 +205,44 @@ def test_negative_num_exits_2(capsys, genome_file, command):
     assert "--num" in out.err
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_nonpositive_n_exits_2(capsys, n):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--n", n])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--n" in out.err
+
+
+# B is (1..41); A shuffles and re-signs ten disjoint 3-block windows of B,
+# each followed by one fixed block, like perfbench's windows_pair: 17 cycles
+WINDOWS_A_TEXT = (
+    "(1 2 4 -3 5 -6 7 -8 9 -11 -10 -12 13 -16 -14 15 17 20 -18 19 21 "
+    "24 22 23 25 27 -26 -28 29 31 32 30 33 35 -34 36 37 40 38 39 41)"
+)
+WINDOWS_B_TEXT = "(" + " ".join(str(i) for i in range(1, 42)) + ")"
+
+# the exact output for one seed: every sample draws its interleaving rank
+# from the same stream as its trees, so a change to how interleave
+# consumes the generator shifts every later sample
+GOLDEN_SAMPLE_SEED7 = (
+    "\n1 2\n\n1 3 2\n1 1 1\n2 1\n1 1\n\n2 1 1\n2 1\n\n1 1\n\n1 1\n\n1\n1\n\n1 2\n"
+    "\n1 1 2\n1 3 1\n1 1\n2 1\n\n1 1 2\n2 1\n\n2 1\n\n2 1\n\n1\n1\n\n2 1\n"
+    "\n3 1 1\n1 2 1\n2 1\n1 1\n\n3 1 2\n1 1\n\n2 1\n\n1 1\n\n1\n1\n"
+)
+
+
+def test_sample_seeded_stream_is_pinned(capsys, tmp_path):
+    path = tmp_path / "windows.txt"
+    path.write_text(f">A\n{WINDOWS_A_TEXT}\n>B\n{WINDOWS_B_TEXT}\n")
+    code, out, _ = run(capsys, "distance", str(path))
+    assert out == "N=41 C=17 K=1 d=23; cycles: [2, 6, 2, 8, 8, 6, 6, 2, 8, 6, 2, 6, 2, 6, 2, 4, 4]\n"
+    code, out, _ = run(capsys, "sample", str(path), "--seed", "7", "--num", "3", "--format", "parking")
+    assert code == 0
+    assert out == GOLDEN_SAMPLE_SEED7
+
+
 def test_count_beyond_int_str_digit_limit(capsys, tmp_path):
     # one 3000-edge cycle: 1498 sorting steps, 1499^1497 scenarios (4755 digits)
     blocks = [f"b{i}" for i in range(1500)]

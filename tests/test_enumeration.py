@@ -1,6 +1,8 @@
+import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from dcjsort import (
     Fission,
@@ -18,6 +20,7 @@ from dcjsort import (
     scenario_to_parking,
     validate_scenario,
 )
+from dcjsort import enumeration
 from dcjsort.enumeration import count_scenarios
 from dcjsort.adjacency_graph import build_adjacency_graph
 from dcjsort.genome import apply_dcj
@@ -178,3 +181,94 @@ def test_interleave_uniform_mode():
     assert set(counts) == {(0, 1), (1, 0)}
     # 5 sigma around 5000 for p=1/2
     assert all(4750 <= c <= 5250 for c in counts.values())
+
+
+def _interleave_oracle(per_cycle, selector):
+    """The original unranker: rescans multinomial(remaining) per candidate."""
+    lengths = [len(s.steps) for s in per_cycle]
+    total = multinomial(lengths)
+    if isinstance(selector, random.Random):
+        index = selector.randrange(total)
+    else:
+        index = int(selector)
+        if not 0 <= index < total:
+            raise IndexError(f"interleaving index {index} out of range 0..{total - 1}")
+
+    remaining = list(lengths)
+    order = []
+    for _ in range(sum(lengths)):
+        for m in range(len(remaining)):
+            if remaining[m] == 0:
+                continue
+            remaining[m] -= 1
+            below = multinomial(remaining)
+            if index < below:
+                order.append(m)
+                break
+            index -= below
+            remaining[m] += 1
+
+    cursor = [0] * len(per_cycle)
+    merged = []
+    for m in order:
+        merged.append((m, per_cycle[m].steps[cursor[m]]))
+        cursor[m] += 1
+    return tuple(merged)
+
+
+def _scenarios_with_lengths(lengths):
+    """Fixed per-cycle scenarios: cycle m has lengths[m] steps."""
+    rng = make_rng(0)
+    return [sample_scenario(length + 1, rng) for length in lengths]
+
+
+def _arrangements(counts):
+    """Every arrangement of the multiset [m]*counts[m], in lexicographic order."""
+    if not any(counts):
+        yield ()
+        return
+    for m, count in enumerate(counts):
+        if count:
+            counts[m] -= 1
+            for rest in _arrangements(counts):
+                yield (m,) + rest
+            counts[m] += 1
+
+
+@given(st.lists(st.integers(0, 4), max_size=8))
+def test_interleave_matches_oracle(lengths):
+    per_cycle = _scenarios_with_lengths(lengths)
+    total = multinomial(lengths)
+    for rank in range(min(total, 400)):
+        assert interleave(per_cycle, rank) == _interleave_oracle(per_cycle, rank)
+    for seed in range(10):
+        fast, slow = random.Random(seed), random.Random(seed)
+        assert interleave(per_cycle, fast) == _interleave_oracle(per_cycle, slow)
+        assert fast.getstate() == slow.getstate()
+    with pytest.raises(IndexError):
+        interleave(per_cycle, total)
+    if total <= 400:
+        orders = [tuple(m for m, _ in interleave(per_cycle, rank)) for rank in range(total)]
+        assert all(x < y for x, y in zip(orders, orders[1:]))
+        assert orders == list(_arrangements(list(lengths)))
+
+
+def test_interleave_calls_multinomial_once(monkeypatch):
+    calls = []
+
+    def counted(lengths):
+        calls.append(len(lengths))
+        assert len(calls) <= 1, "multinomial called again while unranking"
+        return multinomial(lengths)
+
+    monkeypatch.setattr(enumeration, "multinomial", counted)
+    rng = make_rng(3)
+    lengths = [rng.randint(1, 3) for _ in range(3000)]
+    per_cycle = _scenarios_with_lengths(lengths)
+    merged = interleave(per_cycle, rng)
+    assert calls == [3000]
+    assert len(merged) == sum(lengths)
+    steps = [[] for _ in lengths]
+    for m, fission in merged:
+        steps[m].append(fission)
+    assert [tuple(s) for s in steps] == [s.steps for s in per_cycle]
