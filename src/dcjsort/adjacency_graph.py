@@ -11,11 +11,19 @@ every cycle-splitting DCJ on genome A into a fission of the integer cycle
 (1 2 ... n).  `CycleTracker` maintains that correspondence while fissions
 are applied, translating each one into the unique DCJ that performs the
 same split on the current genome.
+
+Building the graph takes O(N) dictionary work plus O(C log C) for N blocks
+and C cycles: one map per genome from extremity to adjacency, one walk
+around each cycle in whatever order the adjacencies come, and a sort of
+the C cycles by their smallest extremity.  The extremities themselves are
+never sorted; each walked cycle is rotated, or reversed, so that
+it starts where the canonical walk starts.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .errors import InvalidFissionError, InvalidScenarioError, NotCoTailedError
@@ -43,7 +51,8 @@ class AdjacencyGraph:
 
     Cycles are listed by their smallest contained extremity, and each cycle
     is traversed starting from the B-adjacency holding that extremity,
-    leaving through it, so labelings are reproducible across runs.
+    leaving through it, so labelings are reproducible across runs and do
+    not depend on set iteration order.
     """
 
     __slots__ = ("genome_a", "genome_b", "cycles")
@@ -56,31 +65,44 @@ class AdjacencyGraph:
 
         ext_to_a = {e: adj for adj in a.adjacencies for e in adj}
         ext_to_b = {e: adj for adj in b.adjacencies for e in adj}
-        # co-tailed genomes cover exactly the same non-telomere extremities
-        assert ext_to_a.keys() == ext_to_b.keys()
+        # co-tailed genomes cover exactly the same non-telomere extremities:
+        # the walk below finds every B extremity among A's (it leaves each
+        # B-adjacency through an A key and enters it from an A-adjacency),
+        # so equal sizes make the key sets equal
+        assert len(ext_to_a) == len(ext_to_b)
 
-        cycles = []
+        walks = []
         seen = set()
-        for start in sorted(ext_to_b):
-            if start in seen:
+        for first in b.adjacencies:
+            if first in seen:
                 continue
-            first = ext_to_b[start]
-            b_order = []
+            b_order = [first]
             a_between = []
-            b_adj, exit_ext = first, start
+            exit_ext = first[1]
             while True:
-                b_order.append(b_adj)
-                seen.update(b_adj)
                 a_adj = ext_to_a[exit_ext]
                 a_between.append(a_adj)
                 entry = a_adj[0] if a_adj[1] == exit_ext else a_adj[1]
-                nxt = ext_to_b[entry]
-                if nxt == first:
+                b_adj = ext_to_b[entry]
+                if b_adj is first:
                     break
-                b_adj = nxt
-                exit_ext = nxt[0] if nxt[1] == entry else nxt[1]
-            cycles.append(LabeledCycle(tuple(b_order), tuple(a_between)))
-        self.cycles = tuple(cycles)
+                b_order.append(b_adj)
+                exit_ext = b_adj[0] if b_adj[1] == entry else b_adj[1]
+            seen.update(b_order)
+            # restart at the B-adjacency holding the cycle's smallest
+            # extremity low[0], leaving through it
+            low = min(b_order)
+            j = b_order.index(low)
+            if low[0] not in a_between[j]:
+                # walked the other way round: reverse, keeping b_order[j] first
+                b_order = b_order[j::-1] + b_order[:j:-1]
+                a_between = a_between[j - 1 :: -1] + a_between[: j - 1 : -1]
+            elif j:
+                b_order = b_order[j:] + b_order[:j]
+                a_between = a_between[j:] + a_between[:j]
+            walks.append((low[0], b_order, a_between))
+        walks.sort(key=itemgetter(0))
+        self.cycles = tuple(LabeledCycle(tuple(b_order), tuple(a_between)) for _, b_order, a_between in walks)
 
     @property
     def n_blocks(self) -> int:

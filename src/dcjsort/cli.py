@@ -23,8 +23,8 @@ from .enumeration import (
 from .errors import DcjsortError, GenomeParseError, TextFormatError
 from .fissions import format_scenario, parse_scenario, require_valid
 from .genome import Genome, apply_dcj, read_genomes, signed_pair
-from .parking import format_parking, parking_to_scenario, parse_parking, scenario_to_parking
-from .trees import format_tree, parse_tree, scenario_to_tree, tree_to_dot, tree_to_scenario
+from .parking import format_parking, parking_to_scenario, parse_parking
+from .trees import bases_to_tree, format_tree, parse_tree, tree_to_dot, tree_to_scenario
 
 SCENARIO_READERS = {
     "parking": lambda text: parking_to_scenario(parse_parking(text)),
@@ -32,11 +32,13 @@ SCENARIO_READERS = {
     "tree": lambda text: tree_to_scenario(parse_tree(text)),
 }
 
+# every reader above and every sampled or enumerated scenario is valid
+# already, so the writers encode without validating again
 SCENARIO_WRITERS = {
-    "parking": lambda s: format_parking(scenario_to_parking(s)),
+    "parking": lambda s: format_parking(s.bases),
     "fissions": format_scenario,
-    "tree": lambda s: format_tree(scenario_to_tree(s)),
-    "dot": lambda s: tree_to_dot(scenario_to_tree(s)),
+    "tree": lambda s: format_tree(bases_to_tree(s.bases)),
+    "dot": lambda s: tree_to_dot(bases_to_tree(s.bases)),
 }
 
 

@@ -17,10 +17,21 @@ consecutive blocks, which makes the flip identity (x y) = (-y -x) hold for
 free; a telomere is an extremity exposed at the end of a linear chromosome.
 Block sequences are a derived view, rebuilt by walking the adjacency set,
 so a DCJ operation is a plain set rewrite.
+
+Reading a genome of N blocks takes three passes, each O(N).  The parser
+matches each ``( ... )`` or ``[ ... ]`` with one regular expression,
+checks its whole body with one ``fullmatch`` and splits it with
+``str.split``; a line that fails this check is walked again token by
+token, only to word the error with its line and column, so messages are
+those of the walk.  `Genome` checks every token with one ``fullmatch``
+and the names for duplicates by set size (the first duplicate is looked
+up only when there is one).  It then builds each block's two extremities
+and the adjacency to its left neighbour in one loop per chromosome.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import Iterable, NamedTuple
 
@@ -34,6 +45,9 @@ CIRCULAR = "circular"
 
 _BLOCK_RE = re.compile(r"-?[A-Za-z0-9_]+")
 _TOKEN_RE = re.compile(r"[()\[\]]|[^\s()\[\]]+")
+#: one chromosome: its body is group 1 when linear, group 2 when circular
+_CHROMOSOME_RE = re.compile(r"\s*(?:\(([^()\[\]]*)\)|\[([^()\[\]]*)\])")
+_BODY_RE = re.compile(rf"\s*{_BLOCK_RE.pattern}(?:\s+{_BLOCK_RE.pattern})*\s*")
 
 
 class Extremity(NamedTuple):
@@ -45,6 +59,10 @@ class Extremity(NamedTuple):
     def __str__(self):
         return f"{self.block}.{'t' if self.end == TAIL else 'h'}"
 
+
+#: Extremity((block, end)) without the Python-level NamedTuple constructor,
+#: for the two extremities per block that `Genome` builds
+_extremity = functools.partial(tuple.__new__, Extremity)
 
 #: An adjacency is a pair of extremities stored in sorted order.
 Adjacency = tuple[Extremity, Extremity]
@@ -122,38 +140,47 @@ class Genome:
     def __init__(self, chromosomes: Iterable[Chromosome]):
         chroms = tuple(Chromosome(kind, tuple(blocks)) for kind, blocks in chromosomes)
         names = []
+        adjacencies = []
+        telomeres = []
+        tails = []
         for kind, blocks in chroms:
             if kind not in (LINEAR, CIRCULAR):
                 raise ValueError(f"unknown chromosome kind {kind!r}")
             if not blocks:
                 raise GenomeParseError("empty chromosome")
+            if not all(map(_BLOCK_RE.fullmatch, blocks)):
+                bad = next(b for b in blocks if not _BLOCK_RE.fullmatch(b))
+                raise GenomeParseError(f"invalid block token {bad!r}")
+            first = last = None  # left end of the first block, right end of the latest
             for b in blocks:
-                if not _BLOCK_RE.fullmatch(b):
-                    raise GenomeParseError(f"invalid block token {b!r}")
-                names.append(b[1:] if b.startswith("-") else b)
-        seen = set()
-        for name in names:
-            if name in seen:
-                raise GenomeParseError(f"duplicate block name {name!r}")
-            seen.add(name)
-
-        adjacencies = set()
-        telomeres = set()
-        tails = set()
-        for kind, blocks in chroms:
-            pairs = list(zip(blocks, blocks[1:]))
+                # a block read forward enters at its tail, reversed at its head
+                if b[0] == "-":
+                    name = b[1:]
+                    left, right = _extremity((name, HEAD)), _extremity((name, TAIL))
+                else:
+                    name = b
+                    left, right = _extremity((name, TAIL)), _extremity((name, HEAD))
+                names.append(name)
+                if last is None:
+                    first = left
+                else:
+                    adjacencies.append((last, left) if last <= left else (left, last))
+                last = right
             if kind == CIRCULAR:
-                pairs.append((blocks[-1], blocks[0]))
+                adjacencies.append((last, first) if last <= first else (first, last))
             else:
-                telomeres.add(_left_extremity(blocks[0]))
-                telomeres.add(_right_extremity(blocks[-1]))
-                tails.add(blocks[0])
-                tails.add(flip_block(blocks[-1]))
-            for x, y in pairs:
-                adjacencies.add(adjacency(_right_extremity(x), _left_extremity(y)))
+                telomeres += (first, last)
+                tails += (blocks[0], flip_block(blocks[-1]))
+        blockset = frozenset(names)
+        if len(blockset) != len(names):
+            seen = set()
+            for name in names:
+                if name in seen:
+                    raise GenomeParseError(f"duplicate block name {name!r}")
+                seen.add(name)
 
         self.chromosomes = chroms
-        self.blocks = frozenset(names)
+        self.blocks = blockset
         self.adjacencies = frozenset(adjacencies)
         self.telomeres = frozenset(telomeres)
         self.tails = frozenset(tails)
@@ -182,6 +209,26 @@ class Genome:
 
 
 def _parse_chromosome_line(line: str, lineno: int) -> list[Chromosome]:
+    chroms = []
+    pos = 0
+    while pos < len(line):
+        m = _CHROMOSOME_RE.match(line, pos)
+        if m is None:
+            break
+        linear, circular = m.groups()
+        body = circular if linear is None else linear
+        if not _BODY_RE.fullmatch(body):
+            break
+        chroms.append(Chromosome(CIRCULAR if linear is None else LINEAR, tuple(body.split())))
+        pos = m.end()
+    if pos == len(line):
+        return chroms
+    # the same grammar, walked token by token to word the error
+    return _walk_chromosome_line(line, lineno)
+
+
+def _walk_chromosome_line(line: str, lineno: int) -> list[Chromosome]:
+    """Token-by-token parse; raises the error with its column."""
     chroms = []
     kind = None
     blocks: list[str] = []
@@ -256,10 +303,13 @@ def _canonical_chromosome(ch: Chromosome) -> Chromosome:
     if ch.kind == LINEAR:
         best = min(ch.blocks, flipped, key=_sequence_key)
     else:
+        # names are unique, so within one orientation every block key is
+        # distinct and the least rotation starts at the smallest key
         candidates = []
         for seq in (ch.blocks, flipped):
-            for r in range(len(seq)):
-                candidates.append(seq[r:] + seq[:r])
+            keys = _sequence_key(seq)
+            r = keys.index(min(keys))
+            candidates.append(seq[r:] + seq[:r])
         best = min(candidates, key=_sequence_key)
     return Chromosome(ch.kind, tuple(best))
 

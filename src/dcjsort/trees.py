@@ -85,8 +85,17 @@ class LabeledTree:
 def scenario_to_tree(s: FissionScenario) -> LabeledTree:
     """Hang step i below the step whose partner its base reuses."""
     require_valid(s)
-    parent = step_parents(s.bases, partners(s.bases))
-    return LabeledTree(s.n, ((parent[i], i) for i in range(1, s.n)))
+    return bases_to_tree(s.bases)
+
+
+def bases_to_tree(bases: Sequence[int]) -> LabeledTree:
+    """The tree of the valid scenario with these bases; checks nothing.
+
+    For callers whose scenarios were validated or decoded already.
+    """
+    n = len(bases) + 1
+    parent = step_parents(bases, partners(bases))
+    return LabeledTree(n, ((parent[i], i) for i in range(1, n)))
 
 
 def _rooted_preorder(t: LabeledTree) -> tuple[list[int], list[int]]:

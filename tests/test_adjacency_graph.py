@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from dcjsort import (
+    Chromosome,
     CycleTracker,
     Fission,
     FissionScenario,
@@ -11,6 +13,8 @@ from dcjsort import (
     build_adjacency_graph,
     dcj_distance,
     enumerate_scenarios,
+    Genome,
+    LabeledCycle,
     make_dcj,
     parse_genome,
     realize_scenario,
@@ -165,3 +169,83 @@ def test_realize_scenario_bad_interleaving(genome_a, genome_b):
     scenario = next(iter(enumerate_scenarios(5)))
     with pytest.raises(InvalidScenarioError, match="interleaving"):
         realize_scenario(genome_a, genome_b, [scenario], [0, 0, 0])
+
+
+def _oracle_cycles(a, b):
+    """The cycle decomposition as first written: every extremity sorted,
+    each cycle walked from its smallest one."""
+    ext_to_a = {e: adj for adj in a.adjacencies for e in adj}
+    ext_to_b = {e: adj for adj in b.adjacencies for e in adj}
+    assert ext_to_a.keys() == ext_to_b.keys()
+    cycles = []
+    seen = set()
+    for start in sorted(ext_to_b):
+        if start in seen:
+            continue
+        first = ext_to_b[start]
+        b_order = []
+        a_between = []
+        b_adj, exit_ext = first, start
+        while True:
+            b_order.append(b_adj)
+            seen.update(b_adj)
+            a_adj = ext_to_a[exit_ext]
+            a_between.append(a_adj)
+            entry = a_adj[0] if a_adj[1] == exit_ext else a_adj[1]
+            nxt = ext_to_b[entry]
+            if nxt == first:
+                break
+            b_adj = nxt
+            exit_ext = nxt[0] if nxt[1] == entry else nxt[1]
+        cycles.append(LabeledCycle(tuple(b_order), tuple(a_between)))
+    return tuple(cycles)
+
+
+def _signed(draw, names):
+    return [x if draw(st.booleans()) else f"-{x}" for x in names]
+
+
+@st.composite
+def co_tailed_pairs(draw):
+    """A random genome A and a genome B with the same telomeres.
+
+    Names are decimal numbers, whose string order ("10" < "9") differs
+    from their numeric order.  B keeps the end blocks of A's linear
+    chromosomes, possibly re-paired, and deals every other block out at
+    random to B's linear and circular chromosomes.
+    """
+    n = draw(st.integers(1, 24))
+    order = _signed(draw, draw(st.permutations([str(i) for i in range(1, n + 1)])))
+    cuts = sorted(draw(st.sets(st.integers(1, max(1, n - 1)), max_size=5)))
+    chroms_a = []
+    start = 0
+    for cut in cuts + [n]:
+        if cut > start:
+            kind = draw(st.sampled_from(["linear", "circular"]))
+            chroms_a.append(Chromosome(kind, tuple(order[start:cut])))
+            start = cut
+    a = Genome(chroms_a)
+    if draw(st.integers(0, 7)) == 0:
+        return a, a
+    linear = [c.blocks for c in chroms_a if c.kind == "linear"]
+    singles = [blocks for blocks in linear if len(blocks) == 1]
+    ends = [blocks for blocks in linear if len(blocks) > 1]
+    lasts = draw(st.permutations([blocks[-1] for blocks in ends]))
+    inner = [b.lstrip("-") for c in chroms_a for b in (c.blocks if c.kind == "circular" else c.blocks[1:-1])]
+    inner = _signed(draw, draw(st.permutations(inner)))
+    chroms_b = [Chromosome("linear", blocks) for blocks in singles]
+    cuts = sorted(draw(st.lists(st.integers(0, len(inner)), min_size=len(ends), max_size=len(ends) + 4)))
+    pieces = [inner[lo:hi] for lo, hi in zip([0] + cuts, cuts + [len(inner)])]
+    for (first, *_), last, piece in zip(ends, lasts, pieces):
+        chroms_b.append(Chromosome("linear", (first, *piece, last)))
+    chroms_b += [Chromosome("circular", tuple(p)) for p in pieces[len(ends) :] if p]
+    return a, Genome(chroms_b)
+
+
+@given(co_tailed_pairs())
+def test_cycles_match_sorted_oracle(pair):
+    a, b = pair
+    graph = build_adjacency_graph(a, b)
+    assert graph.cycles == _oracle_cycles(a, b)
+    assert graph.distance == a.n_blocks - (graph.n_cycles + a.n_linear)
+

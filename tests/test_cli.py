@@ -1,4 +1,5 @@
 import decimal
+import hashlib
 import io
 import json
 import sys
@@ -241,6 +242,138 @@ def test_sample_seeded_stream_is_pinned(capsys, tmp_path):
     code, out, _ = run(capsys, "sample", str(path), "--seed", "7", "--num", "3", "--format", "parking")
     assert code == 0
     assert out == GOLDEN_SAMPLE_SEED7
+
+
+# sample --seed 7 --num 2 on the windows pair, recorded before the
+# one-pass front end: a change in how cycles are found, where each starts
+# or which way it is walked relabels the steps and shows here, while the
+# parking golden above can stay the same
+GOLDEN_DCJ_SEED7 = (
+    "cut (26 -27) (-28 29) form (26 29) (27 28)\n"
+    "cut (13 -16) (-14 15) form (13 14) (-15 -16)\n"
+    "cut (-10 -12) (11 -9) form (-10 -9) (11 -12)\n"
+    "cut (-30 -32) (30 33) form (30 30) (32 33)\n"
+    "cut (21 24) (23 25) form (21 25) (23 24)\n"
+    "cut (21 25) (-22 -24) form (21 22) (24 25)\n"
+    "cut (11 -12) (-12 13) form (11 12) (12 13)\n"
+    "cut (14 16) (-15 -16) form (14 15) (16 16)\n"
+    "cut (17 20) (19 21) form (17 21) (19 20)\n"
+    "cut (25 27) (26 29) form (25 29) (26 27)\n"
+    "cut (33 35) (34 -35) form (33 -35) (34 35)\n"
+    "cut (37 40) (39 41) form (37 41) (39 40)\n"
+    "cut (37 41) (-38 -40) form (37 38) (40 41)\n"
+    "cut (29 31) (30 30) form (29 30) (30 31)\n"
+    "cut (17 21) (18 -20) form (17 -18) (20 21)\n"
+    "cut (-3 5) (3 -4) form (3 3) (4 5)\n"
+    "cut (17 -18) (-18 19) form (17 18) (18 19)\n"
+    "cut (15 17) (16 16) form (15 16) (16 17)\n"
+    "cut (5 -6) (-6 7) form (5 6) (6 7)\n"
+    "cut (7 -8) (-8 9) form (7 8) (8 9)\n"
+    "cut (2 4) (3 3) form (2 3) (3 4)\n"
+    "cut (25 29) (-26 -28) form (25 26) (28 29)\n"
+    "cut (33 -35) (-34 36) form (33 34) (35 36)\n"
+    "\n"
+    "cut (-10 -12) (11 -9) form (-10 -9) (11 -12)\n"
+    "cut (-38 -40) (39 41) form (-38 -39) (40 41)\n"
+    "cut (25 27) (-28 29) form (25 29) (-27 28)\n"
+    "cut (37 40) (-38 -39) form (37 38) (39 40)\n"
+    "cut (-22 -24) (23 25) form (-22 -23) (24 25)\n"
+    "cut (21 24) (-22 -23) form (21 22) (23 24)\n"
+    "cut (5 -6) (-6 7) form (5 6) (6 7)\n"
+    "cut (13 -16) (14 16) form (13 -14) (16 16)\n"
+    "cut (13 -14) (-14 15) form (13 14) (14 15)\n"
+    "cut (2 4) (3 -4) form (2 -4) (3 4)\n"
+    "cut (-30 -32) (30 33) form (30 30) (32 33)\n"
+    "cut (17 20) (19 21) form (17 21) (19 20)\n"
+    "cut (-34 36) (34 -35) form (34 34) (35 36)\n"
+    "cut (-18 19) (18 -20) form (-18 -20) (18 19)\n"
+    "cut (17 21) (-18 -20) form (17 18) (20 21)\n"
+    "cut (11 -12) (-12 13) form (11 12) (12 13)\n"
+    "cut (25 29) (-26 -28) form (25 26) (28 29)\n"
+    "cut (33 35) (34 34) form (33 34) (34 35)\n"
+    "cut (2 -4) (-3 5) form (2 3) (4 5)\n"
+    "cut (15 17) (16 16) form (15 16) (16 17)\n"
+    "cut (26 -27) (-27 28) form (26 27) (27 28)\n"
+    "cut (7 -8) (-8 9) form (7 8) (8 9)\n"
+    "cut (29 31) (30 30) form (29 30) (30 31)\n"
+)
+GOLDEN_JSON_SEED7_SHA256 = "07d210e706bda44f8e6aca75711b038b2b09953967e4cbf917b236bf8cfda21c"
+# (cycle, base, top, partner) of every step of the two samples
+GOLDEN_JSON_SEED7_STEPS = [
+    [
+        (8, 2, 3, 3), (3, 1, 4, 2), (1, 1, 3, 2), (9, 2, 3, 3), (6, 1, 2, 2), (6, 1, 3, 3),
+        (1, 2, 3, 3), (3, 3, 4, 4), (4, 1, 2, 2), (8, 1, 2, 2), (11, 1, 2, 2), (13, 1, 2, 2),
+        (13, 1, 3, 3), (9, 1, 2, 2), (4, 1, 3, 3), (5, 2, 3, 3), (4, 1, 4, 4), (3, 2, 3, 3),
+        (15, 1, 2, 2), (16, 1, 2, 2), (5, 1, 2, 2), (8, 1, 4, 4), (11, 1, 3, 3),
+    ],
+    [
+        (1, 1, 3, 2), (13, 2, 3, 3), (8, 1, 3, 2), (13, 1, 2, 2), (6, 2, 3, 3), (6, 1, 2, 2),
+        (15, 1, 2, 2), (3, 1, 3, 2), (3, 1, 4, 4), (5, 1, 2, 2), (9, 2, 3, 3), (4, 1, 2, 2),
+        (11, 2, 3, 3), (4, 3, 4, 4), (4, 1, 3, 3), (1, 2, 3, 3), (8, 1, 4, 4), (11, 1, 2, 2),
+        (5, 1, 3, 3), (3, 2, 3, 3), (8, 2, 3, 3), (16, 1, 2, 2), (9, 1, 2, 2),
+    ],
+]
+GOLDEN_DISTANCE_JSON = '{"N": 41, "C": 17, "K": 1, "d": 23, "cycles": [2, 6, 2, 8, 8, 6, 6, 2, 8, 6, 2, 6, 2, 6, 2, 4, 4]}\n'
+
+
+def test_labeling_is_pinned(capsys, tmp_path):
+    path = tmp_path / "windows.txt"
+    path.write_text(f">A\n{WINDOWS_A_TEXT}\n>B\n{WINDOWS_B_TEXT}\n")
+    code, out, _ = run(capsys, "distance", "--json", str(path))
+    assert code == 0
+    assert out == GOLDEN_DISTANCE_JSON
+    code, dcj_out, _ = run(capsys, "sample", str(path), "--seed", "7", "--num", "2", "--format", "dcj")
+    assert code == 0
+    assert dcj_out == GOLDEN_DCJ_SEED7
+    code, json_out, _ = run(capsys, "sample", str(path), "--seed", "7", "--num", "2", "--format", "json")
+    assert code == 0
+    samples = [json.loads(line) for line in json_out.splitlines()]
+    assert [[(s["cycle"], s["base"], s["top"], s["partner"]) for s in sample] for sample in samples] == (
+        GOLDEN_JSON_SEED7_STEPS
+    )
+    rendered = [
+        "cut ({} {}) ({} {}) form ({} {}) ({} {})".format(*(x for adj in s["dcj"]["cut"] + s["dcj"]["form"] for x in adj))
+        for s in samples[0] + samples[1]
+    ]
+    assert rendered == [line for line in dcj_out.splitlines() if line]
+    assert hashlib.sha256(json_out.encode()).hexdigest() == GOLDEN_JSON_SEED7_SHA256
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--format", "parking"],
+        ["--format", "tree"],
+    ],
+)
+def test_sample_writers_do_not_revalidate(capsys, tmp_path, monkeypatch, argv):
+    import dcjsort.fissions
+
+    calls = []
+    real = dcjsort.fissions.validate_scenario
+    monkeypatch.setattr(dcjsort.fissions, "validate_scenario", lambda s: calls.append(s) or real(s))
+    path = tmp_path / "windows.txt"
+    path.write_text(f">A\n{WINDOWS_A_TEXT}\n>B\n{WINDOWS_B_TEXT}\n")
+    code, out, _ = run(capsys, "sample", str(path), "--seed", "7", "--num", "3", *argv)
+    assert code == 0
+    assert out
+    assert calls == []
+
+
+def test_convert_invalid_fissions_still_rejected(capsys, tmp_path, monkeypatch):
+    import dcjsort.fissions
+
+    calls = []
+    real = dcjsort.fissions.validate_scenario
+    monkeypatch.setattr(dcjsort.fissions, "validate_scenario", lambda s: calls.append(s) or real(s))
+    path = tmp_path / "steps.txt"
+    path.write_text("5\n1 3\n1 2\n1 4\n2 5\n")
+    for target in ("parking", "fissions", "tree", "dot"):
+        code, out, err = run(capsys, "convert", "--from", "fissions", "--to", target, str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "dcjsort: error: invalid scenario: step 2: base 1 and top 2 lie in different cycles\n"
+    assert len(calls) == 4
 
 
 def test_count_beyond_int_str_digit_limit(capsys, tmp_path):

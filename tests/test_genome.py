@@ -1,6 +1,9 @@
-import pytest
-from hypothesis import given, strategies as st
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dcjsort import genome as genome_module
 from dcjsort import (
     BlockMismatchError,
     Chromosome,
@@ -219,3 +222,163 @@ def test_genomes_equal_chromosome_order():
 
 def test_genomes_not_equal_different_adjacency():
     assert parse_genome("(a b)") != parse_genome("(b a)")
+
+
+def _canonical_oracle(ch):
+    """Least reading over every flip and all 2L rotations, materialized."""
+    flipped = tuple(genome_module.flip_block(b) for b in reversed(ch.blocks))
+    if ch.kind == "linear":
+        best = min(ch.blocks, flipped, key=genome_module._sequence_key)
+    else:
+        candidates = []
+        for seq in (ch.blocks, flipped):
+            for r in range(len(seq)):
+                candidates.append(seq[r:] + seq[:r])
+        best = min(candidates, key=genome_module._sequence_key)
+    return Chromosome(ch.kind, tuple(best))
+
+
+# decimal names order differently as strings ("10" < "9") and as numbers
+decimal_chromosomes = st.integers(1, 30).flatmap(
+    lambda n: st.tuples(
+        st.sampled_from(["linear", "circular"]),
+        st.permutations([str(i) for i in range(1, n + 1)]),
+        st.lists(st.booleans(), min_size=n, max_size=n),
+    )
+).map(lambda t: Chromosome(t[0], tuple(b if keep else f"-{b}" for b, keep in zip(t[1], t[2]))))
+
+
+@given(decimal_chromosomes)
+def test_canonical_chromosome_matches_all_rotations(ch):
+    assert genome_module._canonical_chromosome(ch) == _canonical_oracle(ch)
+
+
+def test_serialize_long_circular_chromosome():
+    blocks = [str(i) if i % 3 else f"-{i}" for i in range(2000, 0, -1)]
+    text = serialize_genome(Genome([Chromosome("circular", tuple(blocks))]))
+    # the least rotation starts at the smallest key, ("1", False)
+    assert text.startswith("[1 2000 1999 -1998 1997 ")
+    assert text.endswith(" 4 -3 2]")
+    assert parse_genome(text) == Genome([Chromosome("circular", tuple(blocks))])
+
+
+def _read_outcome(text):
+    try:
+        return [(name, g, g.chromosomes) for name, g in read_genomes(text)]
+    except GenomeParseError as exc:
+        return f"GenomeParseError: {exc}"
+
+
+def _walked_outcome(text):
+    # every line through the token walk alone
+    walk = genome_module._walk_chromosome_line
+    with mock.patch.object(genome_module, "_parse_chromosome_line", walk):
+        return _read_outcome(text)
+
+
+_SPACE = st.sampled_from([" ", "  ", "\t", " \t "])
+
+
+@st.composite
+def genome_texts(draw):
+    """Multi-genome text: headers, comments, blank lines, odd spacing,
+    several linear and circular chromosomes per line."""
+    out = []
+    for g in range(draw(st.integers(1, 3))):
+        if g or draw(st.booleans()):
+            out.append(f">{draw(st.sampled_from(['', 'A', ' B ', 'g 1']))}")
+        names = draw(st.permutations([f"x{i}" if i % 2 else str(i) for i in range(1, draw(st.integers(1, 12)) + 1)]))
+        chroms = [[]]
+        for name in names:
+            if chroms[-1] and draw(st.integers(0, 3)) == 0:
+                chroms.append([])
+            chroms[-1].append(name if draw(st.booleans()) else f"-{name}")
+        line = draw(st.sampled_from(["", " ", "\t"]))
+        for i, blocks in enumerate(chroms):
+            opener, closer = draw(st.sampled_from(["()", "[]"]))
+            body = " ".join(blocks) if draw(st.booleans()) else "".join(draw(_SPACE) + b for b in blocks)
+            body += draw(st.sampled_from(["", " ", "\t"]))
+            line += opener + body + closer
+            if i + 1 == len(chroms) or draw(st.booleans()):
+                if draw(st.booleans()):
+                    line += " # note (a"
+                out.append(line)
+                line = ""
+                if draw(st.integers(0, 3)) == 0:
+                    out.append(draw(st.sampled_from(["", "   ", "# comment", "\t# [x"])))
+            else:
+                line += draw(st.sampled_from(["", " ", "\t "]))
+    return "\n".join(out) + draw(st.sampled_from(["", "\n"]))
+
+
+@given(genome_texts())
+def test_fast_parse_matches_token_walk(text):
+    outcome = _read_outcome(text)
+    assert not isinstance(outcome, str), outcome
+    assert outcome == _walked_outcome(text)
+
+
+@settings(max_examples=300)
+@given(genome_texts(), st.data())
+def test_malformed_text_errors_match_token_walk(text, data):
+    # edit anywhere, or next to a bracket, where chromosome bodies start and end
+    brackets = [i + side for i, c in enumerate(text) if c in "()[]" for side in (0, 1)]
+    pos = data.draw(st.integers(0, len(text)) | st.sampled_from(brackets or [0]))
+    edit = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+    char = data.draw(st.sampled_from(list("()[]-,;.é#>") + ["--", "a b", " ", "\t"]))
+    if edit == "insert":
+        text = text[:pos] + char + text[pos:]
+    elif edit == "delete":
+        text = text[:pos] + text[pos + 1 :]
+    else:
+        text = text[:pos] + char + text[pos + 1 :]
+    assert _read_outcome(text) == _walked_outcome(text)
+
+
+_EDIT_CHARS = list("()[]-,;.é#> \t") + ["--", "a b", ""]
+
+
+@pytest.mark.parametrize("base", ["(a -b)[c]", "( 1 -10  9 )\t[x_2 -y]", ">G\n[-a]  (b c d) # c"])
+def test_every_single_edit_errors_match_token_walk(base):
+    for pos in range(len(base) + 1):
+        for char in _EDIT_CHARS:
+            for text in (base[:pos] + char + base[pos:], base[:pos] + char + base[pos + 1 :]):
+                assert _read_outcome(text) == _walked_outcome(text), text
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(a b", "line 1: unclosed chromosome at end of line"),
+        ("(a b]", "line 1: unexpected ']' (col 5)"),
+        ("[a b)", "line 1: unexpected ')' (col 5)"),
+        ("(a (b))", "line 1: unexpected '(' inside a chromosome (col 4)"),
+        ("(a) )", "line 1: unexpected ')' (col 5)"),
+        ("(a)\n(b --c)", "line 2: invalid block token '--c' (col 4)"),
+        ("(a,b)", "line 1: invalid block token 'a,b' (col 2)"),
+        ("(a) x (b)", "line 1: block 'x' outside a chromosome (col 5)"),
+        ("(a) [ ]", "line 1: empty chromosome (col 7)"),
+    ],
+)
+def test_parse_error_messages_are_exact(text, message):
+    with pytest.raises(GenomeParseError) as err:
+        read_genomes(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        (("a b",), "invalid block token 'a b'"),
+        (("a,b",), "invalid block token 'a,b'"),
+        (("x", ""), "invalid block token ''"),
+        (("--a",), "invalid block token '--a'"),
+        (("a-",), "invalid block token 'a-'"),
+        (("a", "b", "-a"), "duplicate block name 'a'"),
+    ],
+)
+def test_genome_rejects_bad_blocks(blocks, message):
+    for kind in ("linear", "circular"):
+        with pytest.raises(GenomeParseError) as err:
+            Genome([Chromosome(kind, blocks)])
+        assert str(err.value) == message
