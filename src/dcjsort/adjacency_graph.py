@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import InvalidFissionError, InvalidScenarioError, NotCoTailedError
 from .fissions import CyclePartition, FissionScenario, require_valid
-from .genome import Adjacency, DcjOp, Genome, adjacency, co_tailed, make_dcj
+from .genome import Adjacency, DcjOp, Genome, co_tailed, make_dcj
 
 
 class LabeledCycle(NamedTuple):
@@ -138,28 +138,26 @@ def dcj_distance(a: Genome, b: Genome) -> int:
     return AdjacencyGraph(a, b).distance
 
 
-def _shared(x: Adjacency, y: Adjacency):
-    common = set(x) & set(y)
-    assert len(common) == 1
-    return common.pop()
-
-
 class CycleTracker:
     """Mutable sorting state of one labeled cycle.
 
-    Tracks, for every label, its successor in the current sub-cycle and the
-    genome-A adjacency sitting in the gap after it, so each fission maps to
-    a concrete DCJ even after earlier fissions rewired parts of the cycle.
+    Every label i is a B-adjacency entered through one extremity and left
+    through the other, and those two never change; only successors do.
+    The genome-A adjacency in the gap after label i is therefore always
+    (exit of i, entry of its successor), so each fission maps to a
+    concrete DCJ even after earlier fissions rewired parts of the cycle.
     """
 
-    __slots__ = ("cycle", "_succ", "_gap", "_b")
+    __slots__ = ("cycle", "_succ", "_entry", "_exit")
 
     def __init__(self, cycle: LabeledCycle):
         n = cycle.n
         self.cycle = cycle
-        self._succ = {i: i % n + 1 for i in range(1, n + 1)}
-        self._gap = {i: cycle.a_between[i - 1] for i in range(1, n + 1)}
-        self._b = {i: cycle.b_order[i - 1] for i in range(1, n + 1)}
+        # lists indexed by label 1..n; slot 0 is unused
+        self._succ = [0, *range(2, n + 1), 1]
+        # label i leaves through the extremity it shares with a_between[i-1]
+        self._exit = [None] + [b[0] if b[0] in a else b[1] for b, a in zip(cycle.b_order, cycle.a_between)]
+        self._entry = [None] + [b[1] if b[0] == x else b[0] for b, x in zip(cycle.b_order, self._exit[1:])]
 
     def members(self, label: int) -> tuple[int, ...]:
         out = [label]
@@ -191,24 +189,18 @@ class CycleTracker:
             raise InvalidFissionError(f"fission ({base}, {top}) is out of range for a {n}-cycle")
         if top not in self.members(base):
             raise InvalidFissionError(f"base {base} and top {top} lie in different cycles")
-        after_base = self._succ[base]
-        after_top = self._succ[top]
-        cut_x = self._gap[base]
-        cut_y = self._gap[top]
-        # each gap adjacency shares one extremity with the label before it
-        # and one with the label after; re-pair them so the excised arc
-        # (after_base .. top) closes on itself and the remainder reconnects
-        to_base = _shared(cut_x, self._b[base])
-        to_after_base = _shared(cut_x, self._b[after_base])
-        to_top = _shared(cut_y, self._b[top])
-        to_after_top = _shared(cut_y, self._b[after_top])
-        closing = adjacency(to_top, to_after_base)
-        rejoining = adjacency(to_base, to_after_top)
-        op = make_dcj((cut_x, cut_y), (closing, rejoining))
-        self._succ[base] = after_top
-        self._succ[top] = after_base
-        self._gap[base] = rejoining
-        self._gap[top] = closing
+        succ, entry, exit_ = self._succ, self._entry, self._exit
+        after_base = succ[base]
+        after_top = succ[top]
+        # cut the gaps after base and after top; re-pair their ends so the
+        # excised arc (after_base .. top) closes on itself and the
+        # remainder reconnects
+        op = make_dcj(
+            ((exit_[base], entry[after_base]), (exit_[top], entry[after_top])),
+            ((exit_[top], entry[after_base]), (exit_[base], entry[after_top])),
+        )
+        succ[base] = after_top
+        succ[top] = after_base
         return op
 
 
@@ -241,10 +233,5 @@ def realize_scenario(
         raise InvalidScenarioError("interleaving does not match the per-cycle step counts")
 
     trackers = [CycleTracker(c) for c in graph.cycles]
-    cursor = [0] * graph.n_cycles
-    ops = []
-    for m in interleaving:
-        step = per_cycle[m].steps[cursor[m]]
-        cursor[m] += 1
-        ops.append(trackers[m].fission_to_dcj(step))
-    return tuple(ops)
+    steps = [iter(s.steps) for s in per_cycle]
+    return tuple(trackers[m].fission_to_dcj(next(steps[m])) for m in interleaving)

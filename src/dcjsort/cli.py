@@ -1,17 +1,20 @@
 """Command-line surface: distances, counts, sampling, conversions, oracles.
 
 Exit codes: 0 on success, 1 on domain errors (genomes not co-tailed, an
-invalid parking function, ...), 2 on usage or parse errors.
+invalid parking function, ...) and when stdout is closed before the output
+is written, 2 on usage or parse errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import json
+import os
 import sys
 
-from .adjacency_graph import CycleTracker, build_adjacency_graph, dcj_distance
+from .adjacency_graph import build_adjacency_graph, realize_scenario
 from .enumeration import (
     count_scenarios,
     enumerate_dcj_sorting_scenarios,
@@ -20,8 +23,8 @@ from .enumeration import (
     make_rng,
     sample_scenario,
 )
-from .errors import DcjsortError, GenomeParseError, TextFormatError
-from .fissions import format_scenario, parse_scenario, require_valid
+from .errors import DcjsortError, GenomeParseError, InvalidDcjError, TextFormatError
+from .fissions import format_scenario, parse_scenario, partners, require_valid
 from .genome import Genome, apply_dcj, read_genomes, signed_pair
 from .parking import format_parking, parking_to_scenario, parse_parking
 from .trees import bases_to_tree, format_tree, parse_tree, tree_to_dot, tree_to_scenario
@@ -105,30 +108,25 @@ def _cmd_count(args) -> int:
     return 0
 
 
-def _sample_global(graph, rng):
-    """One uniform global scenario: per-cycle draws plus an interleaving."""
-    per_cycle = [sample_scenario(cycle.n, rng) for cycle in graph.cycles]
-    merged = interleave(per_cycle, rng)
-    return per_cycle, merged
+def _check_realization(graph, ops) -> None:
+    """Replay `ops` on genome A; raise unless they sort it into B.
 
-
-def _realized_steps(graph, a, b, merged):
-    """Translate merged fissions to DCJs, checking every step en route."""
-    trackers = [CycleTracker(c) for c in graph.cycles]
-    current = a
-    remaining = graph.distance
-    steps = []
-    for m, fission in merged:
-        partner = trackers[m].partner(fission.base)
-        op = trackers[m].fission_to_dcj(fission)
-        current = apply_dcj(current, op)
-        remaining -= 1
-        if dcj_distance(current, b) != remaining:
-            raise DcjsortError("internal check failed: step is not sorting")
-        steps.append((m, fission, partner, op))
-    if current != b:
+    In co-tailed genomes a DCJ changes the cycle count by at most one and
+    no telomere, so the distance N - (C + K) drops by at most one per
+    step.  d valid DCJs (`apply_dcj` rejects any other) that lead from A,
+    at distance d, to B, at distance 0, therefore each lower it by
+    exactly one: no per-step distance is needed.
+    """
+    if len(ops) != graph.distance:
+        raise DcjsortError(f"internal check failed: {len(ops)} DCJs for distance {graph.distance}")
+    current = graph.genome_a
+    try:
+        for op in ops:
+            current = apply_dcj(current, op)
+    except InvalidDcjError as exc:
+        raise DcjsortError(f"internal check failed: {exc}") from None
+    if current != graph.genome_b:
         raise DcjsortError("internal check failed: scenario does not reach the target genome")
-    return steps
 
 
 def _print_chunks(chunks: list[str], fmt: str) -> None:
@@ -143,29 +141,32 @@ def _cmd_sample(args) -> int:
     rng = make_rng(args.seed)
     chunks = []
     for _ in range(args.num):
-        per_cycle, merged = _sample_global(graph, rng)
+        per_cycle = [sample_scenario(cycle.n, rng) for cycle in graph.cycles]
+        # drawn for every format, so each seed gives one stream
+        merged = interleave(per_cycle, rng)
         if fmt in ("parking", "fissions", "tree"):
-            writer = SCENARIO_WRITERS[fmt]
-            chunks.extend(writer(s) for s in per_cycle)
-        elif fmt == "dcj":
-            steps = _realized_steps(graph, a, b, merged)
-            chunks.append("\n".join(str(op) for _, _, _, op in steps))
-        else:
-            steps = _realized_steps(graph, a, b, merged)
-            chunks.append(
-                json.dumps(
-                    [
-                        {
-                            "cycle": m,
-                            "base": fission.base,
-                            "top": fission.top,
-                            "partner": partner,
-                            "dcj": _dcj_json(op),
-                        }
-                        for m, fission, partner, op in steps
-                    ]
-                )
+            chunks.extend(map(SCENARIO_WRITERS[fmt], per_cycle))
+            continue
+        ops = realize_scenario(a, b, per_cycle, [m for m, _ in merged])
+        _check_realization(graph, ops)
+        if fmt == "dcj":
+            chunks.append("\n".join(map(str, ops)))
+            continue
+        partner_steps = [iter(partners(s.bases)) for s in per_cycle]
+        chunks.append(
+            json.dumps(
+                [
+                    {
+                        "cycle": m,
+                        "base": fission.base,
+                        "top": fission.top,
+                        "partner": next(partner_steps[m]),
+                        "dcj": _dcj_json(op),
+                    }
+                    for (m, fission), op in zip(merged, ops)
+                ]
             )
+        )
     _print_chunks(chunks, fmt)
     return 0
 
@@ -215,6 +216,7 @@ def _add_genome_inputs(sub):
     sub.add_argument("--json", action="store_true", help="emit JSON instead of plain text")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dcjsort",
@@ -266,7 +268,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away (`| head`): point stdout at devnull so the exit
+        # flush does not fail again (Python `signal` docs, "Note on SIGPIPE")
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (GenomeParseError, TextFormatError) as exc:
         print(f"dcjsort: error: {exc}", file=sys.stderr)
         return 2

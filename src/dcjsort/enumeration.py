@@ -77,7 +77,7 @@ def enumerate_scenarios(
         raise ValueError(f"cycle size must be positive, got {n}")
     if n > MAX_ENUM_N and not force:
         raise GuardExceededError(
-            f"n={n} exceeds the enumeration guard of {MAX_ENUM_N}; pass force=True to override"
+            f"n={n} exceeds the enumeration guard of {MAX_ENUM_N}; pass force=True (CLI: --force) to override"
         )
 
     def walk(part, steps):
@@ -117,7 +117,7 @@ def enumerate_dcj_sorting_scenarios(
     if dist > MAX_ORACLE_DISTANCE and not force:
         raise GuardExceededError(
             f"distance {dist} exceeds the oracle guard of {MAX_ORACLE_DISTANCE}; "
-            "pass force=True to override"
+            "pass force=True (CLI: --force) to override"
         )
 
     def walk(g, d, prefix):

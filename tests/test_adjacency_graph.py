@@ -206,7 +206,7 @@ def _signed(draw, names):
 
 
 @st.composite
-def co_tailed_pairs(draw):
+def co_tailed_pairs(draw, max_blocks=24):
     """A random genome A and a genome B with the same telomeres.
 
     Names are decimal numbers, whose string order ("10" < "9") differs
@@ -214,7 +214,7 @@ def co_tailed_pairs(draw):
     chromosomes, possibly re-paired, and deals every other block out at
     random to B's linear and circular chromosomes.
     """
-    n = draw(st.integers(1, 24))
+    n = draw(st.integers(1, max_blocks))
     order = _signed(draw, draw(st.permutations([str(i) for i in range(1, n + 1)])))
     cuts = sorted(draw(st.sets(st.integers(1, max(1, n - 1)), max_size=5)))
     chroms_a = []

@@ -1,13 +1,37 @@
+import contextlib
 import decimal
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dcjsort.cli import main
+import dcjsort.cli
+from dcjsort import (
+    DcjOp,
+    adjacency,
+    apply_dcj,
+    build_adjacency_graph,
+    dcj_distance,
+    interleave,
+    make_dcj,
+    make_rng,
+    sample_scenario,
+    serialize_genome,
+    signed_pair,
+)
+from dcjsort.cli import _build_parser, main
 from conftest import GENOME_A_TEXT, GENOME_B_TEXT
+from test_adjacency_graph import co_tailed_pairs
+
+# environment for `python -m dcjsort` in a child process
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
 
 
 @pytest.fixture
@@ -404,3 +428,178 @@ def test_stdin_input(capsys, monkeypatch):
     code, out, _ = run(capsys, "distance")
     assert code == 0
     assert "d=4" in out
+
+
+def test_build_parser_is_cached():
+    assert _build_parser() is _build_parser()
+
+
+def test_commands_back_to_back_match_fresh_processes(capsys, genome_file, tmp_path):
+    pf = tmp_path / "pf.txt"
+    pf.write_text("4 8 1 2 2 3 2 4\n")
+    # the second sample and enumerate calls rely on the defaults the first
+    # ones override, so nothing may leak from one parse into the next
+    commands = [
+        ["sample", genome_file, "--seed", "3", "--num", "2", "--format", "json"],
+        ["distance", "--json", genome_file],
+        ["sample", genome_file],
+        ["enumerate", "--n", "4", "--num", "3", "--format", "tree"],
+        ["enumerate", "--n", "3"],
+        ["convert", "--from", "parking", "--to", "fissions", str(pf)],
+    ]
+    in_process = [run(capsys, *argv) for argv in commands]
+    for argv, (code, out, err) in zip(commands, in_process):
+        alone = subprocess.run(
+            [sys.executable, "-m", "dcjsort", *argv], env=CHILD_ENV, capture_output=True, text=True, timeout=120
+        )
+        assert (code, out, err) == (alone.returncode, alone.stdout, alone.stderr), argv
+
+
+def test_closed_pipe_exits_1_without_traceback():
+    # about 450 kB of output, far beyond a pipe's buffer, so the writer
+    # meets the closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dcjsort", "enumerate", "--n", "7", "--format", "fissions"],
+        env=CHILD_ENV,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert first == b"7\n"
+    assert err == b""
+
+
+@pytest.mark.parametrize(
+    "argv, guard",
+    [
+        (["enumerate", "--n", "9"], "n=9 exceeds the enumeration guard of 8"),
+        (["oracle-count"], "distance 23 exceeds the oracle guard of 5"),
+    ],
+)
+def test_guard_message_names_cli_flag(capsys, tmp_path, argv, guard):
+    path = tmp_path / "windows.txt"
+    path.write_text(f">A\n{WINDOWS_A_TEXT}\n>B\n{WINDOWS_B_TEXT}\n")
+    code, out, err = run(capsys, *argv, *([str(path)] if argv[0] == "oracle-count" else []))
+    assert code == 1
+    assert out == ""
+    assert err == f"dcjsort: error: {guard}; pass force=True (CLI: --force) to override\n"
+
+
+def _shared(x, y):
+    common = set(x) & set(y)
+    assert len(common) == 1
+    return common.pop()
+
+
+def _realized_steps_oracle(a, b, per_cycle, merged):
+    """The CLI's first realization, kept as a reference.
+
+    Each cycle tracks the genome-A adjacency in the gap after every label
+    and finds a cut's ends by intersecting it with the labels' B-adjacencies;
+    every DCJ is applied to a fresh `Genome` and the whole distance is
+    recomputed after every step.  Returns (cycle, base, top, partner, op).
+    """
+    graph = build_adjacency_graph(a, b)
+    succ = [{i: i % c.n + 1 for i in range(1, c.n + 1)} for c in graph.cycles]
+    gap = [dict(enumerate(c.a_between, 1)) for c in graph.cycles]
+    label = [dict(enumerate(c.b_order, 1)) for c in graph.cycles]
+    current = a
+    remaining = graph.distance
+    steps = []
+    for m, (base, top) in merged:
+        nxt, g, lab = succ[m], gap[m], label[m]
+        after_base, after_top = nxt[base], nxt[top]
+        closing = adjacency(_shared(g[top], lab[top]), _shared(g[base], lab[after_base]))
+        rejoining = adjacency(_shared(g[base], lab[base]), _shared(g[top], lab[after_top]))
+        op = make_dcj((g[base], g[top]), (closing, rejoining))
+        nxt[base], nxt[top] = after_top, after_base
+        g[base], g[top] = rejoining, closing
+        current = apply_dcj(current, op)
+        remaining -= 1
+        assert dcj_distance(current, b) == remaining
+        steps.append((m, base, top, after_base, op))
+    assert current == b
+    return steps
+
+
+def _run_in_process(argv, stdin_text):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(stdin_text)):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(co_tailed_pairs(max_blocks=60), st.integers(0, 10**6), st.integers(1, 2))
+def test_sample_matches_replay_oracle(pair, seed, num):
+    a, b = pair
+    text = f">A\n{serialize_genome(a)}\n>B\n{serialize_genome(b)}\n"
+    graph = build_adjacency_graph(a, b)
+    rng = make_rng(seed)
+    expected = []
+    for _ in range(num):
+        per_cycle = [sample_scenario(c.n, rng) for c in graph.cycles]
+        expected.append(_realized_steps_oracle(a, b, per_cycle, interleave(per_cycle, rng)))
+    argv = ["sample", "--seed", str(seed), "--num", str(num)]
+
+    code, out, err = _run_in_process(argv + ["--format", "dcj"], text)
+    assert (code, err) == (0, "")
+    assert out == "\n\n".join("\n".join(str(step[-1]) for step in sample) for sample in expected) + "\n"
+
+    code, out, err = _run_in_process(argv + ["--format", "json"], text)
+    assert (code, err) == (0, "")
+    assert [json.loads(line) for line in out.splitlines()] == [
+        [
+            {
+                "cycle": m,
+                "base": base,
+                "top": top,
+                "partner": partner,
+                "dcj": {
+                    "cut": [list(signed_pair(adj)) for adj in op.cut],
+                    "form": [list(signed_pair(adj)) for adj in op.form],
+                },
+            }
+            for m, base, top, partner, op in sample
+        ]
+        for sample in expected
+    ]
+
+
+def _other_rewiring(op):
+    (e1, e2), (e3, e4) = op.cut
+    for form in (((e1, e3), (e2, e4)), ((e1, e4), (e2, e3))):
+        other = make_dcj(op.cut, form)
+        if other.form != op.form:
+            return other
+
+
+# broken realizations the CLI's replay must refuse; `ops` is a tuple
+REALIZATION_MUTANTS = {
+    "other-rewiring": lambda ops: ops[:1] + (_other_rewiring(ops[1]),) + ops[2:],
+    "absent-cut": lambda ops: ops[:2] + (DcjOp(ops[2].form, ops[2].cut),) + ops[3:],
+    "dropped": lambda ops: ops[:1] + ops[2:],
+    "repeated": lambda ops: ops[:2] + ops[1:-1],
+    "repeated-extra": lambda ops: ops + ops[-1:],
+    # valid DCJs that still end at B, caught only by the step count
+    "detour": lambda ops: ops[:1] + (DcjOp(ops[0].form, ops[0].cut),) + ops,
+}
+
+
+@pytest.mark.parametrize("fmt", ["dcj", "json"])
+@pytest.mark.parametrize("mutant", sorted(REALIZATION_MUTANTS))
+def test_replay_rejects_broken_realization(capsys, monkeypatch, genome_file, mutant, fmt):
+    real = dcjsort.cli.realize_scenario
+    mutate = REALIZATION_MUTANTS[mutant]
+    monkeypatch.setattr(dcjsort.cli, "realize_scenario", lambda *args: mutate(real(*args)))
+    for seed in range(5):
+        code, out, err = run(capsys, "sample", genome_file, "--seed", str(seed), "--format", fmt)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("dcjsort: error: internal check failed")
+        assert len(err.splitlines()) == 1
