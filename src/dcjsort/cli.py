@@ -3,6 +3,10 @@
 Exit codes: 0 on success, 1 on domain errors (genomes not co-tailed, an
 invalid parking function, ...) and when stdout is closed before the output
 is written, 2 on usage or parse errors.
+
+`sample` and `enumerate` write each chunk as it is made, so a closed pipe
+stops the work at once.  Every `dcj` or `json` sample written to stdout has
+passed the replay; a failed replay exits 1 after the samples before it.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .enumeration import (
     enumerate_scenarios,
     interleave,
     make_rng,
+    multinomial,
     sample_scenario,
 )
 from .errors import DcjsortError, GenomeParseError, InvalidDcjError, TextFormatError
@@ -65,34 +70,15 @@ def _load_genome_pair(paths: list[str]) -> tuple[Genome, Genome]:
     return entries[0][1], entries[1][1]
 
 
-def _dcj_json(op) -> dict:
-    return {
-        "cut": [list(signed_pair(adj)) for adj in op.cut],
-        "form": [list(signed_pair(adj)) for adj in op.form],
-    }
-
-
 def _cmd_distance(args) -> int:
     a, b = _load_genome_pair(args.paths)
     graph = build_adjacency_graph(a, b)
+    fields = {"N": graph.n_blocks, "C": graph.n_cycles, "K": graph.n_linear, "d": graph.distance}
     lengths = list(graph.cycle_lengths)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "N": graph.n_blocks,
-                    "C": graph.n_cycles,
-                    "K": graph.n_linear,
-                    "d": graph.distance,
-                    "cycles": lengths,
-                }
-            )
-        )
+        print(json.dumps({**fields, "cycles": lengths}))
     else:
-        print(
-            f"N={graph.n_blocks} C={graph.n_cycles} K={graph.n_linear} "
-            f"d={graph.distance}; cycles: {lengths}"
-        )
+        print(" ".join(f"{k}={v}" for k, v in fields.items()) + f"; cycles: {lengths}")
     return 0
 
 
@@ -129,45 +115,51 @@ def _check_realization(graph, ops) -> None:
         raise DcjsortError("internal check failed: scenario does not reach the target genome")
 
 
-def _print_chunks(chunks: list[str], fmt: str) -> None:
-    if chunks:
-        print(("\n\n" if fmt in ("fissions", "tree", "dcj") else "\n").join(chunks))
+def _write_chunks(chunks, fmt: str) -> None:
+    """Write each chunk as it is made; multi-line formats get a blank line between."""
+    gap = "\n" if fmt in ("fissions", "tree", "dcj") else ""
+    for i, chunk in enumerate(chunks):
+        sys.stdout.write(f"{gap if i else ''}{chunk}\n")
 
 
-def _cmd_sample(args) -> int:
-    a, b = _load_genome_pair(args.paths)
-    graph = build_adjacency_graph(a, b)
-    fmt = "json" if args.json else args.format
+def _sample_chunks(args, fmt: str):
+    graph = build_adjacency_graph(*_load_genome_pair(args.paths))
     rng = make_rng(args.seed)
-    chunks = []
+    total = multinomial(graph.profile)
     for _ in range(args.num):
         per_cycle = [sample_scenario(cycle.n, rng) for cycle in graph.cycles]
         # drawn for every format, so each seed gives one stream
-        merged = interleave(per_cycle, rng)
+        rank = rng.randrange(total)
         if fmt in ("parking", "fissions", "tree"):
-            chunks.extend(map(SCENARIO_WRITERS[fmt], per_cycle))
+            yield from map(SCENARIO_WRITERS[fmt], per_cycle)
             continue
-        ops = realize_scenario(a, b, per_cycle, [m for m, _ in merged])
+        merged = interleave(per_cycle, rank)
+        ops = realize_scenario(graph.genome_a, graph.genome_b, per_cycle, [m for m, _ in merged])
         _check_realization(graph, ops)
         if fmt == "dcj":
-            chunks.append("\n".join(map(str, ops)))
+            yield "\n".join(map(str, ops))
             continue
         partner_steps = [iter(partners(s.bases)) for s in per_cycle]
-        chunks.append(
-            json.dumps(
-                [
-                    {
-                        "cycle": m,
-                        "base": fission.base,
-                        "top": fission.top,
-                        "partner": next(partner_steps[m]),
-                        "dcj": _dcj_json(op),
-                    }
-                    for (m, fission), op in zip(merged, ops)
-                ]
-            )
+        yield json.dumps(
+            [
+                {
+                    "cycle": m,
+                    "base": fission.base,
+                    "top": fission.top,
+                    "partner": next(partner_steps[m]),
+                    "dcj": {
+                        "cut": [list(signed_pair(adj)) for adj in op.cut],
+                        "form": [list(signed_pair(adj)) for adj in op.form],
+                    },
+                }
+                for (m, fission), op in zip(merged, ops)
+            ]
         )
-    _print_chunks(chunks, fmt)
+
+
+def _cmd_sample(args) -> int:
+    fmt = "json" if args.json else args.format
+    _write_chunks(_sample_chunks(args, fmt), fmt)
     return 0
 
 
@@ -178,9 +170,8 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    writer = SCENARIO_WRITERS[args.format]
-    chunks = [writer(s) for s in enumerate_scenarios(args.n, limit=args.num, force=args.force)]
-    _print_chunks(chunks, args.format)
+    scenarios = enumerate_scenarios(args.n, limit=args.num, force=args.force)
+    _write_chunks(map(SCENARIO_WRITERS[args.format], scenarios), args.format)
     return 0
 
 

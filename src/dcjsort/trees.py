@@ -66,6 +66,7 @@ class LabeledTree:
             raise InvalidTreeError("edge set is not connected")
 
     def adjacency(self) -> dict[int, list[int]]:
+        """Neighbour lists, each in ascending order since `edges` is sorted."""
         out: dict[int, list[int]] = {v: [] for v in range(self.n)}
         for u, v in self.edges:
             out[u].append(v)
@@ -113,10 +114,10 @@ def _rooted_preorder(t: LabeledTree) -> tuple[list[int], list[int]]:
         v = stack.pop()
         counter += 1
         preorder[v] = counter
-        children = sorted((w for w in adj[v] if parent[w] < 0), reverse=True)
-        for w in children:
-            parent[w] = v
-            stack.append(w)
+        for w in reversed(adj[v]):
+            if parent[w] < 0:
+                parent[w] = v
+                stack.append(w)
     return parent, preorder
 
 

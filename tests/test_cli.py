@@ -603,3 +603,189 @@ def test_replay_rejects_broken_realization(capsys, monkeypatch, genome_file, mut
         assert out == ""
         assert err.startswith("dcjsort: error: internal check failed")
         assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("fmt", ["dcj", "json"])
+@pytest.mark.parametrize("mutant", sorted(REALIZATION_MUTANTS))
+def test_replay_failure_keeps_the_samples_before_it(capsys, monkeypatch, genome_file, mutant, fmt):
+    argv = ["sample", genome_file, "--seed", "3", "--num", "3", "--format", fmt]
+    code, whole, _ = run(capsys, *argv)
+    assert code == 0
+    first = whole.split("\n\n" if fmt == "dcj" else "\n")[0] + "\n"
+
+    real = dcjsort.cli.realize_scenario
+    calls = []
+
+    def second_call_broken(*args):
+        calls.append(args)
+        ops = real(*args)
+        return REALIZATION_MUTANTS[mutant](ops) if len(calls) == 2 else ops
+
+    monkeypatch.setattr(dcjsort.cli, "realize_scenario", second_call_broken)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == first
+    assert err.startswith("dcjsort: error: internal check failed")
+    assert len(err.splitlines()) == 1
+    assert len(calls) == 2
+
+
+class _FirstWriteProbe:
+    """Stands in for stdout and reads a counter at the first write."""
+
+    def __init__(self, counter):
+        self.counter = counter
+        self.at_first_write = None
+
+    def write(self, text):
+        if self.at_first_write is None:
+            self.at_first_write = self.counter()
+
+    def flush(self):
+        pass
+
+
+def test_enumerate_writes_each_scenario_as_it_is_made(monkeypatch):
+    made = []
+    real = dcjsort.cli.enumerate_scenarios
+
+    def counting(*args, **kwargs):
+        for s in real(*args, **kwargs):
+            made.append(s)
+            yield s
+
+    monkeypatch.setattr(dcjsort.cli, "enumerate_scenarios", counting)
+    probe = _FirstWriteProbe(lambda: len(made))
+    monkeypatch.setattr(sys, "stdout", probe)
+    assert main(["enumerate", "--n", "5"]) == 0
+    assert probe.at_first_write == 1
+    assert len(made) == 125
+
+
+@pytest.mark.parametrize("pair, cycles", [((GENOME_A_TEXT, GENOME_B_TEXT), 1), ((WINDOWS_A_TEXT, WINDOWS_B_TEXT), 17)])
+def test_sample_writes_each_sample_as_it_is_drawn(monkeypatch, tmp_path, pair, cycles):
+    path = tmp_path / "pair.txt"
+    path.write_text(">A\n{}\n>B\n{}\n".format(*pair))
+    drawn = []
+    real = dcjsort.cli.sample_scenario
+    monkeypatch.setattr(dcjsort.cli, "sample_scenario", lambda n, rng: drawn.append(n) or real(n, rng))
+    probe = _FirstWriteProbe(lambda: len(drawn))
+    monkeypatch.setattr(sys, "stdout", probe)
+    assert main(["sample", str(path), "--num", "3", "--format", "parking"]) == 0
+    assert probe.at_first_write == cycles
+    assert len(drawn) == 3 * cycles
+
+
+@pytest.mark.parametrize("fmt", ["parking", "fissions", "tree"])
+def test_per_cycle_formats_skip_the_interleaving(capsys, monkeypatch, tmp_path, fmt):
+    import dcjsort.enumeration
+
+    unranked, counted = [], []
+    real_interleave, real_multinomial = dcjsort.cli.interleave, dcjsort.enumeration.multinomial
+
+    def counting(lengths):
+        counted.append(lengths)
+        return real_multinomial(lengths)
+
+    monkeypatch.setattr(dcjsort.cli, "interleave", lambda *a: unranked.append(a) or real_interleave(*a))
+    # interleave reaches multinomial through its own module
+    monkeypatch.setattr(dcjsort.enumeration, "multinomial", counting)
+    monkeypatch.setattr(dcjsort.cli, "multinomial", counting)
+    path = tmp_path / "windows.txt"
+    path.write_text(f">A\n{WINDOWS_A_TEXT}\n>B\n{WINDOWS_B_TEXT}\n")
+    code, out, _ = run(capsys, "sample", str(path), "--seed", "7", "--num", "3", "--format", fmt)
+    assert code == 0
+    assert out
+    assert unranked == []
+    assert len(counted) == 1
+
+
+# --- fuzzing the whole command line -----------------------------------------
+
+# blocks a..d, and at most three edits, keep every distance within the
+# oracle guard of 5, so `oracle-count --force` stays fast
+_FUZZ_BLOCKS = "abcd"
+_EDIT_CHARS = "()[]->#_ \n\t0123456789abcdexé"
+_FUZZ_VALUES = {
+    "--seed": ["0", "7", "99", "-1", str(2**64)],
+    "--num": ["0", "1", "2", "3", "-1"],
+    "--n": ["1", "3", "5", "6", "0", "x"],
+    "--format": ["parking", "fissions", "tree", "dcj", "json"],
+    "--from": ["parking", "fissions", "tree", "x"],
+    "--to": ["parking", "fissions", "tree", "dot", "x"],
+}
+_FUZZ_FLAGS = {
+    "distance": ["--json"],
+    "count": ["--json"],
+    "sample": ["--json", "--seed", "--num", "--format"],
+    "convert": ["--from", "--to"],
+    "enumerate": ["--n", "--num", "--force", "--format"],
+    "oracle-count": ["--json", "--force"],
+}
+
+
+@st.composite
+def _fuzz_genome(draw):
+    blocks = draw(st.permutations(_FUZZ_BLOCKS))[: draw(st.integers(1, len(_FUZZ_BLOCKS)))]
+    signed = [("-" if draw(st.booleans()) else "") + x for x in blocks]
+    cut = draw(st.integers(1, len(signed)))
+    brackets = [draw(st.sampled_from(["()", "[]"])) for _ in range(2)]
+    chromosomes = [signed[:cut], signed[cut:]]
+    return "\n".join(f"{o}{' '.join(c)}{e}" for (o, e), c in zip(brackets, chromosomes) if c)
+
+
+@st.composite
+def _fuzz_tree(draw):
+    n = draw(st.integers(1, 6))
+    return f"{n}\n" + "".join(f"{draw(st.integers(0, i - 1))} {i}\n" for i in range(1, n))
+
+
+_fuzz_fragment = st.one_of(
+    st.tuples(_fuzz_genome(), _fuzz_genome()).map(lambda ab: ">A\n{}\n>B\n{}\n".format(*ab)),
+    st.lists(st.integers(0, 7), max_size=6).map(lambda pf: " ".join(map(str, pf)) + "\n"),
+    _fuzz_tree(),
+    st.tuples(st.integers(1, 6), st.integers(0, 99)).map(
+        lambda nk: dcjsort.format_scenario(sample_scenario(nk[0], make_rng(nk[1])))
+    ),
+)
+
+
+def _edit(text, edits):
+    for pos, kind, char in edits:
+        i = pos % (len(text) + 1)
+        text = text[:i] + (char if kind != "delete" else "") + text[i + (kind != "insert") :]
+    return text
+
+
+@st.composite
+def _fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    argv = [command]
+    for flag in _FUZZ_FLAGS[command]:
+        # a required flag is left out one time in twenty
+        if draw(st.integers(0, 19) if flag in ("--n", "--from", "--to") else st.booleans()):
+            argv.append(flag)
+            if flag in _FUZZ_VALUES:
+                argv.append(draw(st.sampled_from(_FUZZ_VALUES[flag])))
+    junk = draw(st.sampled_from(["", "", "", "", "-", "--bogus", "--help", "extra"]))
+    return argv + [junk] * bool(junk)
+
+
+_fuzz_edits = st.lists(
+    st.tuples(st.integers(0, 10**4), st.sampled_from(["insert", "delete", "replace"]), st.sampled_from(_EDIT_CHARS)),
+    max_size=3,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fuzz_argv(), _fuzz_fragment, _fuzz_edits)
+def test_cli_fuzz_exits_cleanly(argv, fragment, edits):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(_edit(fragment, edits))):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse: usage errors and --help
+                code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
