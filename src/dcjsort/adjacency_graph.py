@@ -12,23 +12,23 @@ every cycle-splitting DCJ on genome A into a fission of the integer cycle
 are applied, translating each one into the unique DCJ that performs the
 same split on the current genome.
 
-Building the graph takes O(N) dictionary work plus O(C log C) for N blocks
-and C cycles: one map per genome from extremity to adjacency, one walk
-around each cycle in whatever order the adjacencies come, and a sort of
-the C cycles by their smallest extremity.  The extremities themselves are
-never sorted; each walked cycle is rotated, or reversed, so that
-it starts where the canonical walk starts.
+Building the graph for N blocks takes one sort of the block names and O(N)
+list work.  The block of rank r in name order has extremity ids 2r (tail)
+and 2r + 1 (head), so id order is `Extremity` order; both partner lists
+are carried over to these ids, and each cycle is walked, in ascending id
+order, from its smallest extremity, which gives the canonical labeling at
+once.  The `LabeledCycle`s of `Extremity` tuples are built only on demand.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from operator import itemgetter
+from itertools import accumulate, pairwise
 from typing import NamedTuple, Sequence
 
-from .errors import InvalidFissionError, InvalidScenarioError, NotCoTailedError
+from .errors import BlockMismatchError, InvalidFissionError, InvalidScenarioError, NotCoTailedError
 from .fissions import CyclePartition, FissionScenario, require_valid
-from .genome import Adjacency, DcjOp, Genome, co_tailed, make_dcj
+from .genome import HEAD, TAIL, Adjacency, DcjOp, Extremity, Genome, adjacency, make_dcj
 
 
 class LabeledCycle(NamedTuple):
@@ -46,6 +46,20 @@ class LabeledCycle(NamedTuple):
         return 2 * len(self.b_order)
 
 
+def _ranked_partners(g: Genome, rank: dict[str, int]) -> tuple[list[int], list[int]]:
+    """g's partner list and sorted telomeres over the ids of `rank` (name -> 2r)."""
+    tails = list(map(rank.get, g._names))
+    if len(tails) != len(rank) or None in tails:
+        raise BlockMismatchError("genomes are over different block sets")
+    new = [-1] * (2 * len(tails) + 1)  # new[-1] == -1 keeps telomeres at -1
+    new[0:-1:2] = tails
+    new[1:-1:2] = [t + 1 for t in tails]
+    out = new[:-1]
+    for x, y in zip(new, g._partner):
+        out[x] = new[y]
+    return out, sorted(new[t] for t in g._telomere_ids)
+
+
 class AdjacencyGraph:
     """Cycle decomposition of the adjacency graph of two co-tailed genomes.
 
@@ -55,54 +69,45 @@ class AdjacencyGraph:
     not depend on set iteration order.
     """
 
-    __slots__ = ("genome_a", "genome_b", "cycles")
+    __slots__ = ("genome_a", "genome_b", "_names", "_pa", "_pb", "_exits", "_sizes", "_cycles")
 
     def __init__(self, a: Genome, b: Genome):
-        if not co_tailed(a, b):
+        names = sorted(a._names)
+        rank = dict(zip(names, range(0, 2 * len(names), 2)))
+        (pa, telomeres), (pb, telomeres_b) = _ranked_partners(a, rank), _ranked_partners(b, rank)
+        if telomeres != telomeres_b:
             raise NotCoTailedError("genomes are not co-tailed")
-        self.genome_a = a
-        self.genome_b = b
+        self.genome_a, self.genome_b = a, b
+        self._names, self._pa, self._pb, self._cycles = names, pa, pb, None
 
-        ext_to_a = {e: adj for adj in a.adjacencies for e in adj}
-        ext_to_b = {e: adj for adj in b.adjacencies for e in adj}
-        # co-tailed genomes cover exactly the same non-telomere extremities:
-        # the walk below finds every B extremity among A's (it leaves each
-        # B-adjacency through an A key and enters it from an A-adjacency),
-        # so equal sizes make the key sets equal
-        assert len(ext_to_a) == len(ext_to_b)
-
-        walks = []
-        seen = set()
-        for first in b.adjacencies:
-            if first in seen:
-                continue
-            b_order = [first]
-            a_between = []
-            exit_ext = first[1]
+        # label 1 of a cycle is the B-adjacency of its least extremity x, left through x;
+        # each next label is entered via the A-partner of the last exit (kept in _exits)
+        self._exits, self._sizes = exits, sizes = [], []
+        seen = bytearray(len(pb))
+        for t in telomeres:
+            seen[t] = 1
+        x = seen.find(0)
+        while x >= 0:
+            exit_, stop, first = x, pb[x], len(exits)
             while True:
-                a_adj = ext_to_a[exit_ext]
-                a_between.append(a_adj)
-                entry = a_adj[0] if a_adj[1] == exit_ext else a_adj[1]
-                b_adj = ext_to_b[entry]
-                if b_adj is first:
+                entry = pa[exit_]
+                exits.append(exit_)
+                seen[exit_] = seen[entry] = 1
+                if entry == stop:
                     break
-                b_order.append(b_adj)
-                exit_ext = b_adj[0] if b_adj[1] == entry else b_adj[1]
-            seen.update(b_order)
-            # restart at the B-adjacency holding the cycle's smallest
-            # extremity low[0], leaving through it
-            low = min(b_order)
-            j = b_order.index(low)
-            if low[0] not in a_between[j]:
-                # walked the other way round: reverse, keeping b_order[j] first
-                b_order = b_order[j::-1] + b_order[:j:-1]
-                a_between = a_between[j - 1 :: -1] + a_between[: j - 1 : -1]
-            elif j:
-                b_order = b_order[j:] + b_order[:j]
-                a_between = a_between[j:] + a_between[:j]
-            walks.append((low[0], b_order, a_between))
-        walks.sort(key=itemgetter(0))
-        self.cycles = tuple(LabeledCycle(tuple(b_order), tuple(a_between)) for _, b_order, a_between in walks)
+                exit_ = pb[entry]
+            sizes.append(len(exits) - first)
+            x = seen.find(0, x + 1)
+
+    @property
+    def cycles(self) -> tuple[LabeledCycle, ...]:
+        if self._cycles is None:
+            ext = [Extremity(name, end) for name in self._names for end in (TAIL, HEAD)]
+            b_side = [adjacency(ext[x], ext[self._pb[x]]) for x in self._exits]
+            a_side = [adjacency(ext[x], ext[self._pa[x]]) for x in self._exits]
+            bounds = pairwise(accumulate(self._sizes, initial=0))
+            self._cycles = tuple(LabeledCycle(tuple(b_side[i:j]), tuple(a_side[i:j])) for i, j in bounds)
+        return self._cycles
 
     @property
     def n_blocks(self) -> int:
@@ -110,7 +115,7 @@ class AdjacencyGraph:
 
     @property
     def n_cycles(self) -> int:
-        return len(self.cycles)
+        return len(self._sizes)
 
     @property
     def n_linear(self) -> int:
@@ -123,11 +128,11 @@ class AdjacencyGraph:
     @property
     def profile(self) -> tuple[int, ...]:
         """Sorting steps needed per cycle: a 2(l+1)-cycle contributes l."""
-        return tuple(c.n - 1 for c in self.cycles)
+        return tuple(n - 1 for n in self._sizes)
 
     @property
     def cycle_lengths(self) -> tuple[int, ...]:
-        return tuple(c.length for c in self.cycles)
+        return tuple(2 * n for n in self._sizes)
 
 
 def build_adjacency_graph(a: Genome, b: Genome) -> AdjacencyGraph:
@@ -231,7 +236,11 @@ def realize_scenario(
     actual = dict(Counter(interleaving))
     if actual != expected:
         raise InvalidScenarioError("interleaving does not match the per-cycle step counts")
+    return realize(graph, per_cycle, interleaving)
 
+
+def realize(graph: AdjacencyGraph, per_cycle: Sequence[FissionScenario], interleaving: Sequence[int]):
+    """`realize_scenario` on a built graph, minus its input checks (sampled scenarios pass them)."""
     trackers = [CycleTracker(c) for c in graph.cycles]
     steps = [iter(s.steps) for s in per_cycle]
     return tuple(trackers[m].fission_to_dcj(next(steps[m])) for m in interleaving)

@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from .adjacency_graph import build_adjacency_graph, realize_scenario
+from .adjacency_graph import build_adjacency_graph, realize
 from .enumeration import (
     count_scenarios,
     enumerate_dcj_sorting_scenarios,
@@ -127,14 +127,14 @@ def _sample_chunks(args, fmt: str):
     rng = make_rng(args.seed)
     total = multinomial(graph.profile)
     for _ in range(args.num):
-        per_cycle = [sample_scenario(cycle.n, rng) for cycle in graph.cycles]
+        per_cycle = [sample_scenario(steps + 1, rng) for steps in graph.profile]
         # drawn for every format, so each seed gives one stream
         rank = rng.randrange(total)
         if fmt in ("parking", "fissions", "tree"):
             yield from map(SCENARIO_WRITERS[fmt], per_cycle)
             continue
         merged = interleave(per_cycle, rank)
-        ops = realize_scenario(graph.genome_a, graph.genome_b, per_cycle, [m for m, _ in merged])
+        ops = realize(graph, per_cycle, [m for m, _ in merged])
         _check_realization(graph, ops)
         if fmt == "dcj":
             yield "\n".join(map(str, ops))

@@ -11,12 +11,12 @@ header line starts a new genome in multi-genome files.  Flipping a whole
 chromosome, rotating a circular one, or reordering the chromosome list all
 describe the same genome.
 
-Internally a genome is kept as its adjacency set plus telomere set.  An
-adjacency is the unordered pair of block extremities that meet between two
-consecutive blocks, which makes the flip identity (x y) = (-y -x) hold for
-free; a telomere is an extremity exposed at the end of a linear chromosome.
-Block sequences are a derived view, rebuilt by walking the adjacency set,
-so a DCJ operation is a plain set rewrite.
+Internally block k, in order of appearance, has tail extremity 2k and
+head extremity 2k + 1.  A genome keeps its block names, one int list with
+the extremity each extremity meets in an adjacency (-1 at a telomere, an
+end of a linear chromosome) and its telomere ids.  Its `frozenset` views
+of `Extremity` tuples are built on first access.  A DCJ rewires a copy of
+the partner list and reads the chromosomes off it again.
 
 Reading a genome of N blocks takes three passes, each O(N).  The parser
 matches each ``( ... )`` or ``[ ... ]`` with one regular expression,
@@ -25,12 +25,13 @@ checks its whole body with one ``fullmatch`` and splits it with
 token, only to word the error with its line and column, so messages are
 those of the walk.  `Genome` checks every token with one ``fullmatch``
 and the names for duplicates by set size (the first duplicate is looked
-up only when there is one).  It then builds each block's two extremities
-and the adjacency to its left neighbour in one loop per chromosome.
+up only when there is one).  It then fills the partner list with one loop
+per chromosome and makes no object per block.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import re
 from typing import Iterable, NamedTuple
@@ -61,7 +62,7 @@ class Extremity(NamedTuple):
 
 
 #: Extremity((block, end)) without the Python-level NamedTuple constructor,
-#: for the two extremities per block that `Genome` builds
+#: for the views that list two extremities per block
 _extremity = functools.partial(tuple.__new__, Extremity)
 
 #: An adjacency is a pair of extremities stored in sorted order.
@@ -73,21 +74,11 @@ def flip_block(block: str) -> str:
 
 
 def _left_extremity(block: str) -> Extremity:
-    if block.startswith("-"):
-        return Extremity(block[1:], HEAD)
-    return Extremity(block, TAIL)
+    return Extremity(block[1:], HEAD) if block.startswith("-") else Extremity(block, TAIL)
 
 
 def _right_extremity(block: str) -> Extremity:
-    if block.startswith("-"):
-        return Extremity(block[1:], TAIL)
-    return Extremity(block, HEAD)
-
-
-def _block_from_left(ext: Extremity) -> str:
-    # entering a block through `ext` reads it forward from its tail,
-    # backward from its head
-    return ext.block if ext.end == TAIL else "-" + ext.block
+    return Extremity(block[1:], TAIL) if block.startswith("-") else Extremity(block, HEAD)
 
 
 def adjacency(e1: Extremity, e2: Extremity) -> Adjacency:
@@ -135,14 +126,16 @@ class Genome:
     their chromosomes were written down.
     """
 
-    __slots__ = ("chromosomes", "blocks", "adjacencies", "telomeres", "tails")
+    # block names, each extremity's partner (-1 at a telomere), telomere ids;
+    # then the views and the block order by name, each built on first use
+    __slots__ = (
+        "chromosomes", "_names", "_partner", "_telomere_ids",
+        "_blocks", "_adjacencies", "_telomeres", "_tails", "_order",
+    )
 
     def __init__(self, chromosomes: Iterable[Chromosome]):
         chroms = tuple(Chromosome(kind, tuple(blocks)) for kind, blocks in chromosomes)
-        names = []
-        adjacencies = []
-        telomeres = []
-        tails = []
+        names, partner, telomere_ids = [], [], []
         for kind, blocks in chroms:
             if kind not in (LINEAR, CIRCULAR):
                 raise ValueError(f"unknown chromosome kind {kind!r}")
@@ -151,58 +144,69 @@ class Genome:
             if not all(map(_BLOCK_RE.fullmatch, blocks)):
                 bad = next(b for b in blocks if not _BLOCK_RE.fullmatch(b))
                 raise GenomeParseError(f"invalid block token {bad!r}")
-            first = last = None  # left end of the first block, right end of the latest
-            for b in blocks:
-                # a block read forward enters at its tail, reversed at its head
-                if b[0] == "-":
-                    name = b[1:]
-                    left, right = _extremity((name, HEAD)), _extremity((name, TAIL))
-                else:
-                    name = b
-                    left, right = _extremity((name, TAIL)), _extremity((name, HEAD))
-                names.append(name)
-                if last is None:
-                    first = left
-                else:
-                    adjacencies.append((last, left) if last <= left else (left, last))
-                last = right
+            names += [b[1:] if b[0] == "-" else b for b in blocks]
+            # a block read forward enters at its tail, reversed at its head
+            k = len(partner)
+            lefts = [x + (b[0] == "-") for x, b in zip(range(k, k + 2 * len(blocks), 2), blocks)]
+            rights = [x ^ 1 for x in lefts]
+            partner += [-1] * (2 * len(blocks))
             if kind == CIRCULAR:
-                adjacencies.append((last, first) if last <= first else (first, last))
+                lefts.append(lefts[0])
             else:
-                telomeres += (first, last)
-                tails += (blocks[0], flip_block(blocks[-1]))
-        blockset = frozenset(names)
-        if len(blockset) != len(names):
+                telomere_ids += (lefts[0], rights[-1])
+            # each block's right end meets the next block's left end
+            for x, y in zip(rights, lefts[1:]):
+                partner[x], partner[y] = y, x
+        if len(set(names)) != len(names):
             seen = set()
-            for name in names:
-                if name in seen:
-                    raise GenomeParseError(f"duplicate block name {name!r}")
-                seen.add(name)
+            dup = next(name for name in names if name in seen or seen.add(name))
+            raise GenomeParseError(f"duplicate block name {dup!r}")
+        self.chromosomes, self._names = chroms, names
+        self._partner, self._telomere_ids = partner, telomere_ids
+        self._blocks = self._adjacencies = self._telomeres = self._tails = self._order = None
 
-        self.chromosomes = chroms
-        self.blocks = blockset
-        self.adjacencies = frozenset(adjacencies)
-        self.telomeres = frozenset(telomeres)
-        self.tails = frozenset(tails)
+    @property
+    def blocks(self) -> frozenset[str]:
+        if self._blocks is None:
+            self._blocks = frozenset(self._names)
+        return self._blocks
+
+    @property
+    def adjacencies(self) -> frozenset[Adjacency]:
+        if self._adjacencies is None:
+            ext = [_extremity((name, end)) for name in self._names for end in (TAIL, HEAD)]
+            adjacencies = (adjacency(ext[x], ext[y]) for x, y in enumerate(self._partner) if x < y)
+            self._adjacencies = frozenset(adjacencies)
+        return self._adjacencies
+
+    @property
+    def telomeres(self) -> frozenset[Extremity]:
+        if self._telomeres is None:
+            self._telomeres = frozenset(_extremity((self._names[x >> 1], x & 1)) for x in self._telomere_ids)
+        return self._telomeres
+
+    @property
+    def tails(self) -> frozenset[str]:
+        if self._tails is None:
+            self._tails = frozenset(("-" if x & 1 else "") + self._names[x >> 1] for x in self._telomere_ids)
+        return self._tails
 
     @property
     def n_blocks(self) -> int:
-        return len(self.blocks)
+        return len(self._names)
 
     @property
     def n_linear(self) -> int:
-        return sum(1 for c in self.chromosomes if c.kind == LINEAR)
+        return len(self._telomere_ids) // 2
+
+    def _semantic(self):
+        return self.blocks, self.adjacencies, self.telomeres
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Genome)
-            and self.blocks == other.blocks
-            and self.adjacencies == other.adjacencies
-            and self.telomeres == other.telomeres
-        )
+        return isinstance(other, Genome) and self._semantic() == other._semantic()
 
     def __hash__(self):
-        return hash((self.blocks, self.adjacencies, self.telomeres))
+        return hash(self._semantic())
 
     def __repr__(self):
         return f"Genome({serialize_genome(self)!r})"
@@ -360,43 +364,22 @@ def make_dcj(cut, form) -> DcjOp:
     return DcjOp(cut, form)
 
 
-def _assemble(block_names, adjacencies, telomeres) -> tuple[Chromosome, ...]:
-    """Rebuild chromosomes from an adjacency set and a telomere set."""
-    partner = {}
-    for e1, e2 in adjacencies:
-        partner[e1] = e2
-        partner[e2] = e1
-
-    used = set()
-    chroms = []
-    for telomere in sorted(telomeres):
-        if telomere.block in used:
+def _walk_chromosomes(names, partner, telomere_ids, order) -> tuple[Chromosome, ...]:
+    """The chromosomes of a partner list: linear ones from their telomeres in
+    `Extremity` order, then circular ones from their first block in `order`."""
+    done, chroms = set(), []
+    for x in sorted(telomere_ids, key=lambda t: (names[t >> 1], t & 1)) + [2 * k for k in order]:
+        if x >> 1 in done:
             continue
-        blocks = []
-        ext = telomere
+        blocks, stop = [], -1 if partner[x] < 0 else x
         while True:
-            blocks.append(_block_from_left(ext))
-            used.add(ext.block)
-            right = Extremity(ext.block, 1 - ext.end)
-            if right in telomeres:
+            # entering a block through its tail reads it forward
+            blocks.append(("-" if x & 1 else "") + names[x >> 1])
+            done.add(x >> 1)
+            x = partner[x ^ 1]
+            if x == stop:
                 break
-            ext = partner[right]
-        chroms.append(Chromosome(LINEAR, tuple(blocks)))
-
-    for name in sorted(block_names):
-        if name in used:
-            continue
-        blocks = []
-        ext = Extremity(name, TAIL)
-        start = ext
-        while True:
-            blocks.append(_block_from_left(ext))
-            used.add(ext.block)
-            right = Extremity(ext.block, 1 - ext.end)
-            ext = partner[right]
-            if ext == start:
-                break
-        chroms.append(Chromosome(CIRCULAR, tuple(blocks)))
+        chroms.append(Chromosome(LINEAR if stop < 0 else CIRCULAR, tuple(blocks)))
     return tuple(chroms)
 
 
@@ -410,14 +393,22 @@ def apply_dcj(g: Genome, op: DcjOp) -> Genome:
     op = make_dcj(op.cut, op.form)
     if op.cut[0] == op.cut[1]:
         raise InvalidDcjError("cut adjacencies must be distinct")
+    names, partner = g._names, g._partner
+    # the ids of the cut extremities that exist in g
+    ids = {e: 2 * names.index(e[0]) + e[1] for adj in op.cut for e in adj if e[0] in names and e[1] in (0, 1)}
     for adj in op.cut:
-        if adj not in g.adjacencies:
+        if adj[0] not in ids or partner[ids[adj[0]]] != ids.get(adj[1]):
             raise InvalidDcjError(f"cut adjacency {format_adjacency(adj)} is not present")
-    cut_exts = {e for adj in op.cut for e in adj}
-    form_exts = [e for adj in op.form for e in adj]
-    if len(form_exts) != 4 or set(form_exts) != cut_exts:
+    if {e for adj in op.form for e in adj} != ids.keys():
         raise InvalidDcjError("rewiring must reuse exactly the four cut extremities")
     if set(op.form) == set(op.cut):
         raise InvalidDcjError("identity rewiring is not a DCJ operation")
-    new_adjacencies = (g.adjacencies - set(op.cut)) | set(op.form)
-    return Genome(_assemble(g.blocks, new_adjacencies, g.telomeres))
+    if g._order is None:
+        g._order = sorted(range(len(names)), key=names.__getitem__)
+    partner = partner.copy()
+    for e, f in op.form:
+        partner[ids[e]], partner[ids[f]] = ids[f], ids[e]
+    out = copy.copy(g)  # the blocks and telomeres stay: their views and `_order` carry over
+    out.chromosomes = _walk_chromosomes(names, partner, g._telomere_ids, g._order)
+    out._partner, out._adjacencies = partner, None
+    return out

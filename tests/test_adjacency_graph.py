@@ -14,11 +14,11 @@ from dcjsort import (
     dcj_distance,
     enumerate_scenarios,
     Genome,
-    LabeledCycle,
     make_dcj,
     parse_genome,
     realize_scenario,
 )
+import oracles
 
 
 def test_worked_example_single_cycle(genome_a, genome_b):
@@ -171,36 +171,6 @@ def test_realize_scenario_bad_interleaving(genome_a, genome_b):
         realize_scenario(genome_a, genome_b, [scenario], [0, 0, 0])
 
 
-def _oracle_cycles(a, b):
-    """The cycle decomposition as first written: every extremity sorted,
-    each cycle walked from its smallest one."""
-    ext_to_a = {e: adj for adj in a.adjacencies for e in adj}
-    ext_to_b = {e: adj for adj in b.adjacencies for e in adj}
-    assert ext_to_a.keys() == ext_to_b.keys()
-    cycles = []
-    seen = set()
-    for start in sorted(ext_to_b):
-        if start in seen:
-            continue
-        first = ext_to_b[start]
-        b_order = []
-        a_between = []
-        b_adj, exit_ext = first, start
-        while True:
-            b_order.append(b_adj)
-            seen.update(b_adj)
-            a_adj = ext_to_a[exit_ext]
-            a_between.append(a_adj)
-            entry = a_adj[0] if a_adj[1] == exit_ext else a_adj[1]
-            nxt = ext_to_b[entry]
-            if nxt == first:
-                break
-            b_adj = nxt
-            exit_ext = nxt[0] if nxt[1] == entry else nxt[1]
-        cycles.append(LabeledCycle(tuple(b_order), tuple(a_between)))
-    return tuple(cycles)
-
-
 def _signed(draw, names):
     return [x if draw(st.booleans()) else f"-{x}" for x in names]
 
@@ -227,6 +197,11 @@ def co_tailed_pairs(draw, max_blocks=24):
     a = Genome(chroms_a)
     if draw(st.integers(0, 7)) == 0:
         return a, a
+    return a, co_tailed_partner(draw, chroms_a)
+
+
+def co_tailed_partner(draw, chroms_a):
+    """A genome B over A's blocks with A's telomeres."""
     linear = [c.blocks for c in chroms_a if c.kind == "linear"]
     singles = [blocks for blocks in linear if len(blocks) == 1]
     ends = [blocks for blocks in linear if len(blocks) > 1]
@@ -239,13 +214,13 @@ def co_tailed_pairs(draw, max_blocks=24):
     for (first, *_), last, piece in zip(ends, lasts, pieces):
         chroms_b.append(Chromosome("linear", (first, *piece, last)))
     chroms_b += [Chromosome("circular", tuple(p)) for p in pieces[len(ends) :] if p]
-    return a, Genome(chroms_b)
+    return Genome(chroms_b)
 
 
 @given(co_tailed_pairs())
 def test_cycles_match_sorted_oracle(pair):
     a, b = pair
     graph = build_adjacency_graph(a, b)
-    assert graph.cycles == _oracle_cycles(a, b)
+    assert graph.cycles == oracles.cycles(a, b)
     assert graph.distance == a.n_blocks - (graph.n_cycles + a.n_linear)
 

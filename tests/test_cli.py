@@ -384,6 +384,26 @@ def test_sample_writers_do_not_revalidate(capsys, tmp_path, monkeypatch, argv):
     assert calls == []
 
 
+@pytest.mark.parametrize("fmt", ["dcj", "json"])
+def test_realization_reuses_the_graph_and_skips_validation(capsys, tmp_path, monkeypatch, fmt):
+    import dcjsort.adjacency_graph
+    import dcjsort.fissions
+
+    validated, built = [], []
+    real_validate = dcjsort.fissions.validate_scenario
+    monkeypatch.setattr(dcjsort.fissions, "validate_scenario", lambda s: validated.append(s) or real_validate(s))
+    graph_class = dcjsort.adjacency_graph.AdjacencyGraph
+    real_init = graph_class.__init__
+    monkeypatch.setattr(graph_class, "__init__", lambda self, a, b: built.append(a) or real_init(self, a, b))
+    path = tmp_path / "windows.txt"
+    path.write_text(f">A\n{WINDOWS_A_TEXT}\n>B\n{WINDOWS_B_TEXT}\n")
+    code, out, _ = run(capsys, "sample", str(path), "--seed", "7", "--num", "3", "--format", fmt)
+    assert code == 0
+    assert len(out.split("\n\n" if fmt == "dcj" else "\n")) == 3 + (fmt == "json")
+    assert len(built) == 1
+    assert validated == []
+
+
 def test_convert_invalid_fissions_still_rejected(capsys, tmp_path, monkeypatch):
     import dcjsort.fissions
 
@@ -594,9 +614,9 @@ REALIZATION_MUTANTS = {
 @pytest.mark.parametrize("fmt", ["dcj", "json"])
 @pytest.mark.parametrize("mutant", sorted(REALIZATION_MUTANTS))
 def test_replay_rejects_broken_realization(capsys, monkeypatch, genome_file, mutant, fmt):
-    real = dcjsort.cli.realize_scenario
+    real = dcjsort.cli.realize
     mutate = REALIZATION_MUTANTS[mutant]
-    monkeypatch.setattr(dcjsort.cli, "realize_scenario", lambda *args: mutate(real(*args)))
+    monkeypatch.setattr(dcjsort.cli, "realize", lambda *args: mutate(real(*args)))
     for seed in range(5):
         code, out, err = run(capsys, "sample", genome_file, "--seed", str(seed), "--format", fmt)
         assert code == 1
@@ -613,7 +633,7 @@ def test_replay_failure_keeps_the_samples_before_it(capsys, monkeypatch, genome_
     assert code == 0
     first = whole.split("\n\n" if fmt == "dcj" else "\n")[0] + "\n"
 
-    real = dcjsort.cli.realize_scenario
+    real = dcjsort.cli.realize
     calls = []
 
     def second_call_broken(*args):
@@ -621,7 +641,7 @@ def test_replay_failure_keeps_the_samples_before_it(capsys, monkeypatch, genome_
         ops = real(*args)
         return REALIZATION_MUTANTS[mutant](ops) if len(calls) == 2 else ops
 
-    monkeypatch.setattr(dcjsort.cli, "realize_scenario", second_call_broken)
+    monkeypatch.setattr(dcjsort.cli, "realize", second_call_broken)
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == first
